@@ -17,87 +17,55 @@ Typical use::
     suite = runner.run_suite()          # all 25 benchmarks
     fig = figure1(suite)                # the paper's Figure 1
     threads = table1(suite)             # the paper's Table I
+
+Every name below is resolved on first access, so ``import repro`` (and
+the CLI) loads only the layers a caller actually touches.
 """
 
-from repro.analysis import (
-    evaluate_claims,
-    evaluate_sweep_claims,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    table1,
-)
-from repro.calibration import (
-    Calibration,
-    CpuSpec,
-    parse_cpu_profile,
-    profile_cpu_count,
-    use_calibration,
-)
-from repro.core import (
-    AGAVE_IDS,
-    FIGURE_ORDER,
-    SPEC_IDS,
-    AsyncBackend,
-    BenchmarkSpec,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    ResultCache,
-    RunConfig,
-    RunResult,
-    SerialBackend,
-    ShardedBackend,
-    SuiteResult,
-    SuiteRunner,
-    SweepAxis,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    benchmarks,
-    execute_one,
-    get_benchmark,
-    make_backend,
-    shard_ids,
-)
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AGAVE_IDS",
-    "AsyncBackend",
-    "BenchmarkSpec",
-    "Calibration",
-    "CpuSpec",
-    "ExecutionBackend",
-    "FIGURE_ORDER",
-    "ProcessPoolBackend",
-    "ResultCache",
-    "RunConfig",
-    "RunResult",
-    "SPEC_IDS",
-    "SerialBackend",
-    "ShardedBackend",
-    "SuiteResult",
-    "SuiteRunner",
-    "SweepAxis",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "__version__",
-    "benchmarks",
-    "evaluate_claims",
-    "evaluate_sweep_claims",
-    "execute_one",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "get_benchmark",
-    "make_backend",
-    "parse_cpu_profile",
-    "profile_cpu_count",
-    "shard_ids",
-    "table1",
-    "use_calibration",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.analysis": (
+        "evaluate_claims",
+        "evaluate_sweep_claims",
+        "figure1",
+        "figure2",
+        "figure3",
+        "figure4",
+        "table1",
+    ),
+    "repro.calibration": (
+        "Calibration",
+        "CpuSpec",
+        "parse_cpu_profile",
+        "profile_cpu_count",
+        "use_calibration",
+    ),
+    "repro.core": (
+        "AGAVE_IDS",
+        "FIGURE_ORDER",
+        "SPEC_IDS",
+        "AsyncBackend",
+        "BenchmarkSpec",
+        "ExecutionBackend",
+        "ProcessPoolBackend",
+        "ResultCache",
+        "RunConfig",
+        "RunResult",
+        "SerialBackend",
+        "ShardedBackend",
+        "SuiteResult",
+        "SuiteRunner",
+        "SweepAxis",
+        "SweepResult",
+        "SweepRunner",
+        "SweepSpec",
+        "benchmarks",
+        "execute_one",
+        "get_benchmark",
+        "make_backend",
+        "shard_ids",
+    ),
+}, eager=("__version__",))

@@ -51,53 +51,23 @@ import os
 import sys
 from typing import Callable
 
-from repro.analysis import (
-    evaluate_claims,
-    evaluate_fault_claims,
-    fault_report,
-    render_fault_report,
-    table1,
-)
-from repro.analysis.figures import build_figure
-from repro.analysis.paper import compare_table1
-from repro.analysis.breakdown import cpu_breakdown
-from repro.analysis.render import (
-    render_breakdown_csv,
-    render_breakdown_table,
-    render_claims,
-    render_smp_table,
-    render_stacked_ascii,
-    render_sweep_table,
-    render_table1,
-)
-from repro.analysis.smp import smp_rows
-from repro.analysis.sweep import METRICS, resolve_metric, sweep_tables
-from repro.analysis.fleet import render_fleet_report
+from repro.calibration import profile_cpu_count
+# SuiteRunner's module imports the whole simulator, so it is loaded here
+# in the parent before any pool forks its workers.  Everything only one
+# subcommand needs (sweep, fleet, pools, analysis, the service) is
+# imported inside that command.
 from repro.core import (
     BACKEND_NAMES,
-    FleetResult,
-    FleetSpec,
-    ProgressMeter,
     ResultCache,
     RunConfig,
     RunResult,
     SuiteResult,
     SuiteRunner,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
     benchmarks,
     enable_snapshots,
     make_backend,
-    parse_axis,
-    parse_mix,
-    prime_snapshot,
-    run_fleet,
-    snapshot_gc,
-    snapshot_key,
 )
 from repro.core.snapshots import active_store, aggregate_disk_stats
-from repro.calibration import profile_cpu_count
 from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
 from repro.sim.ticks import millis, seconds
@@ -309,6 +279,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis import render_sweep_table, resolve_metric, sweep_tables
+    from repro.core import SweepRunner, SweepSpec, parse_axis
+
     resolve_metric(args.metric)  # reject a typo'd metric before simulating
     axes = tuple(parse_axis(text) for text in args.axis or [])
     ids = args.bench or [spec.bench_id for spec in benchmarks()]
@@ -344,6 +317,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
     the fault-free baseline plus each requested plan — over the given
     benchmarks and reports on that.
     """
+    from repro.analysis import (
+        evaluate_fault_claims,
+        fault_report,
+        render_claims,
+        render_fault_report,
+    )
+    from repro.core import SweepResult, SweepRunner, SweepSpec, parse_axis
+
     if args.results:
         result = SweepResult.load(args.results)
     else:
@@ -380,6 +361,15 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.analysis import render_fleet_report
+    from repro.core import (
+        FleetResult,
+        FleetSpec,
+        ProgressMeter,
+        parse_mix,
+        run_fleet,
+    )
+
     if args.merge:
         # Merge mode: no simulation — fold saved shard results together.
         if args.devices is not None or args.shard:
@@ -531,6 +521,8 @@ def cmd_snapshot_stats(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    from repro.core import prime_snapshot
+
     store = enable_snapshots()
     cfg = _config(args)
     ids = args.bench or ["music.mp3.view"]
@@ -556,6 +548,8 @@ def cmd_snapshot_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot_gc(args: argparse.Namespace) -> int:
+    from repro.core import snapshot_gc
+
     # Mirrors cache gc: a mistyped path must error, not mint an empty
     # directory and report a successful no-op.
     if not os.path.isdir(args.dir):
@@ -578,6 +572,13 @@ def cmd_snapshot_gc(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        build_figure,
+        render_breakdown_csv,
+        render_breakdown_table,
+        render_stacked_ascii,
+    )
+
     suite = _load_or_run(args)
     numbers = [args.figure] if args.figure else [1, 2, 3, 4]
     for number in numbers:
@@ -592,6 +593,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table1, table1
+    from repro.analysis.paper import compare_table1
+
     suite = _load_or_run(args)
     table = table1(suite)
     print(render_table1(table, top_n=args.top))
@@ -600,6 +604,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
+    from repro.analysis import evaluate_claims, render_claims
+
     suite = _load_or_run(args)
     claims = evaluate_claims(suite)
     print(render_claims(claims))
@@ -607,10 +613,30 @@ def cmd_claims(args: argparse.Namespace) -> int:
 
 
 def cmd_smp(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        cpu_breakdown,
+        render_breakdown_table,
+        render_smp_table,
+        smp_rows,
+    )
+
     suite = _load_or_run(args)
     print(render_smp_table(smp_rows(suite)))
     print(render_breakdown_table(cpu_breakdown(suite)))
     return 0
+
+
+class _SweepHelpFormatter(argparse.HelpFormatter):
+    """Lists the sweep metrics only when help is printed: they live in
+    the analysis layer, which the parser must not import."""
+
+    def _get_help_string(self, action: argparse.Action) -> "str | None":
+        if action.dest != "metric":
+            return action.help
+        from repro.analysis import METRICS
+
+        return (f"{action.help}: {', '.join(sorted(METRICS))}, "
+                "or per-core cpuN_refs/cpuN_share/cpuN_busy")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -658,7 +684,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=cmd_suite)
 
     p_sweep = sub.add_parser(
-        "sweep", help="run a parameter grid and show per-axis deltas"
+        "sweep", help="run a parameter grid and show per-axis deltas",
+        formatter_class=_SweepHelpFormatter,
     )
     p_sweep.add_argument("--axis", action="append", metavar="NAME=V1,V2",
                          help="sweep axis: jit=on,off | seed=1,2,3 | "
@@ -670,9 +697,7 @@ def make_parser() -> argparse.ArgumentParser:
                               "default: the whole suite)")
     p_sweep.add_argument("--out", help="save sweep results JSON here")
     p_sweep.add_argument("--metric", default="total_refs",
-                         help="metric shown in the per-axis delta tables: "
-                              + ", ".join(sorted(METRICS))
-                              + ", or per-core cpuN_refs/cpuN_share/cpuN_busy")
+                         help="metric shown in the per-axis delta tables")
     _add_exec_flags(p_sweep, sharding=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -1,89 +1,66 @@
-"""Analysis layer: figure/table builders, claims checks, renderers."""
+"""Analysis layer: figure/table builders, claims checks, renderers.
 
-from repro.analysis.breakdown import (
-    StackedBreakdown,
-    build_stacked,
-    cpu_breakdown,
-    shares,
-)
-from repro.analysis.claims import (
-    Claim,
-    evaluate_claims,
-    evaluate_sweep_claims,
-    failed_claims,
-)
-from repro.analysis.faults import (
-    FaultRow,
-    evaluate_fault_claims,
-    fault_report,
-    render_fault_report,
-)
-from repro.analysis.figures import (
-    build_figure,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-)
-from repro.analysis.fleet import DEFAULT_PERCENTILES, render_fleet_report
-from repro.analysis.render import (
-    render_breakdown_csv,
-    render_breakdown_table,
-    render_claims,
-    render_smp_table,
-    render_stacked_ascii,
-    render_sweep_table,
-    render_table1,
-)
-from repro.analysis.smp import SmpRow, smp_row, smp_rows
-from repro.analysis.sweep import (
-    METRICS,
-    SweepRow,
-    SweepTable,
-    axis_table,
-    resolve_metric,
-    sweep_tables,
-)
-from repro.analysis.tables import Table1, ThreadRow, canonical_thread_name, table1
+Exported names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "Claim",
-    "DEFAULT_PERCENTILES",
-    "FaultRow",
-    "METRICS",
-    "SmpRow",
-    "StackedBreakdown",
-    "SweepRow",
-    "SweepTable",
-    "Table1",
-    "ThreadRow",
-    "axis_table",
-    "build_figure",
-    "build_stacked",
-    "canonical_thread_name",
-    "cpu_breakdown",
-    "evaluate_claims",
-    "evaluate_fault_claims",
-    "evaluate_sweep_claims",
-    "failed_claims",
-    "fault_report",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "render_breakdown_csv",
-    "render_breakdown_table",
-    "render_claims",
-    "render_fault_report",
-    "render_fleet_report",
-    "render_smp_table",
-    "render_stacked_ascii",
-    "render_sweep_table",
-    "render_table1",
-    "resolve_metric",
-    "shares",
-    "smp_row",
-    "smp_rows",
-    "sweep_tables",
-    "table1",
-]
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.analysis.breakdown": (
+        "StackedBreakdown",
+        "build_stacked",
+        "cpu_breakdown",
+        "shares",
+    ),
+    "repro.analysis.claims": (
+        "Claim",
+        "evaluate_claims",
+        "evaluate_sweep_claims",
+        "failed_claims",
+    ),
+    "repro.analysis.faults": (
+        "FaultRow",
+        "evaluate_fault_claims",
+        "fault_report",
+        "render_fault_report",
+    ),
+    "repro.analysis.figures": (
+        "build_figure",
+        "figure1",
+        "figure2",
+        "figure3",
+        "figure4",
+    ),
+    "repro.analysis.fleet": (
+        "DEFAULT_PERCENTILES",
+        "render_fleet_report",
+    ),
+    "repro.analysis.render": (
+        "render_breakdown_csv",
+        "render_breakdown_table",
+        "render_claims",
+        "render_smp_table",
+        "render_stacked_ascii",
+        "render_sweep_table",
+        "render_table1",
+    ),
+    "repro.analysis.smp": (
+        "SmpRow",
+        "smp_row",
+        "smp_rows",
+    ),
+    "repro.analysis.sweep": (
+        "METRICS",
+        "SweepRow",
+        "SweepTable",
+        "axis_table",
+        "resolve_metric",
+        "sweep_tables",
+    ),
+    "repro.analysis.tables": (
+        "Table1",
+        "ThreadRow",
+        "canonical_thread_name",
+        "table1",
+    ),
+})

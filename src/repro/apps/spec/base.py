@@ -67,7 +67,8 @@ class SpecModel:
     #: (none consume ``self.rng``), and :class:`IterationProfile` is
     #: frozen, so sharing one result across model instances is
     #: observably identical to recalibrating — and calibration kernels
-    #: range from milliseconds (specrand) to seconds (sjeng), which
+    #: range from milliseconds (specrand) to a quarter second (sjeng,
+    #: its alpha-beta search plus the minimax self-check), which would
     #: otherwise recur on every point of a seed sweep.
     _profiles: "dict[tuple, IterationProfile]" = {}
     _PROFILES_MAX = 512

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 CALIBRATION_BLOCK = 8 * 1024
 #: Bytes of input each simulated iteration represents.
@@ -154,7 +155,7 @@ class Bzip2Model(SpecModel):
         block = make_test_block(CALIBRATION_BLOCK, seed=self.seed)
         coded = compress(block)
         if decompress(coded) != block:
-            raise AssertionError("bzip2 calibration kernel failed to round-trip")
+            raise WorkloadError("bzip2 calibration kernel failed to round-trip")
         counter: OpCounter = coded["counter"]
         scale = SIM_BLOCK / CALIBRATION_BLOCK
         ops = counter.reads + counter.writes + counter.compares

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -119,7 +120,7 @@ class HmmerModel(SpecModel):
         seq = random_sequence(self.CAL_SEQ_LEN, self.seed + 1)
         result = viterbi(hmm, seq)
         if not math.isfinite(result.score):
-            raise AssertionError("hmmer calibration produced non-finite score")
+            raise WorkloadError("hmmer calibration produced non-finite score")
         scale = self.SEQS_PER_ITERATION
         insts = result.cell_updates * self.insts_per_op * scale
         return IterationProfile(

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -91,7 +92,7 @@ class LibquantumModel(SpecModel):
         entangle_sweep(reg)
         norm = reg.norm()
         if abs(norm - 1.0) > 1e-9:
-            raise AssertionError(f"libquantum lost unitarity: norm={norm}")
+            raise WorkloadError(f"libquantum lost unitarity: norm={norm}")
         ops = reg.ops
         scale = self.SWEEP_SCALE
         return IterationProfile(

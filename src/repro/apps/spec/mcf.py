@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 #: Large value standing in for infinity.
 INF = float("inf")
@@ -127,7 +128,7 @@ class McfModel(SpecModel):
         net, s, t, supply = build_instance(seed=self.seed)
         stats = min_cost_flow(net, s, t, supply)
         if stats.flow_sent == 0:
-            raise AssertionError("mcf calibration instance sent no flow")
+            raise WorkloadError("mcf calibration instance sent no flow")
         ops = stats.arc_scans + stats.relaxations * 3
         insts = int(ops * self.insts_per_op * self.SCALE)
         # Arc arrays dominate and are far beyond MMAP_THRESHOLD.

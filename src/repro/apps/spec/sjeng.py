@@ -3,9 +3,11 @@
 The calibration kernel is a real negamax alpha-beta search over a small
 deterministic board game ("pick-a-pile" Nim variant with positional
 scoring) that exercises the shape of chess search: deep recursion,
-move generation, evaluation at the leaves.  Tests verify the search
-against exhaustive minimax on tiny positions.  sjeng's footprint is
-stack-heavy (recursion) with small-table heap traffic.
+move generation, evaluation at the leaves.  Every calibration checks the
+alpha-beta result against an exhaustive, unpruned minimax that memoizes
+repeated positions in a transposition table, so the check costs
+milliseconds.  sjeng's footprint is stack-heavy (recursion) with
+small-table heap traffic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 
 @dataclass
@@ -78,13 +81,30 @@ def negamax(
 
 
 def minimax_reference(piles: tuple[int, ...], depth: int) -> int:
-    """Plain minimax for verifying alpha-beta equivalence on tiny trees."""
-    moves = legal_moves(piles)
-    if not moves:
-        return -100
-    if depth == 0:
-        return evaluate(piles)
-    return max(-minimax_reference(apply_move(piles, m), depth - 1) for m in moves)
+    """Exhaustive minimax, the oracle alpha-beta is checked against.
+
+    Every move is searched, with no pruning.  A position reached by
+    different move orders has one value per remaining depth, so results
+    are memoized per call in a transposition table keyed by
+    ``(piles, depth)``.
+    """
+    table: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def search(piles: tuple[int, ...], depth: int) -> int:
+        key = (piles, depth)
+        value = table.get(key)
+        if value is None:
+            moves = legal_moves(piles)
+            if not moves:
+                value = -100
+            elif depth == 0:
+                value = evaluate(piles)
+            else:
+                value = max(-search(apply_move(piles, m), depth - 1) for m in moves)
+            table[key] = value
+        return value
+
+    return search(piles, depth)
 
 
 class SjengModel(SpecModel):
@@ -108,7 +128,7 @@ class SjengModel(SpecModel):
         score = negamax(self.CAL_POSITION, self.CAL_DEPTH, -(10**9), 10**9, stats)
         reference = minimax_reference(self.CAL_POSITION, self.CAL_DEPTH)
         if score != reference:
-            raise AssertionError(
+            raise WorkloadError(
                 f"sjeng alpha-beta ({score}) disagrees with minimax ({reference})"
             )
         scale = self.POSITIONS_PER_ITERATION

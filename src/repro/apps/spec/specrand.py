@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.spec.base import IterationProfile, SpecModel
+from repro.errors import WorkloadError
 
 LCG_MULTIPLIER = 1103515245
 LCG_INCREMENT = 12345
@@ -60,7 +61,7 @@ class SpecrandModel(SpecModel):
         mean = mean_of_draws(values)
         # A uniform 15-bit generator must average near 2^14.
         if not (0.8 * 16_384 < mean < 1.2 * 16_384):
-            raise AssertionError(f"specrand LCG looks non-uniform: mean={mean}")
+            raise WorkloadError(f"specrand LCG looks non-uniform: mean={mean}")
         ops = state.draws
         scale = self.DRAW_SCALE
         return IterationProfile(

@@ -1,155 +1,96 @@
-"""Suite core: benchmark registry, runner, execution backends, results."""
+"""Suite core: benchmark registry, runner, execution backends, results.
 
-from repro.core.backends import (
-    BACKEND_NAMES,
-    AsyncBackend,
-    BackendError,
-    BatchProgress,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    ProgressCallback,
-    SerialBackend,
-    ShardedBackend,
-    StreamingBackend,
-    WorkItem,
-    make_backend,
-    parse_shard,
-    shard_ids,
-)
-from repro.core.fleet import (
-    DeviceProfile,
-    FleetReducer,
-    FleetResult,
-    FleetSpec,
-    FleetUnit,
-    ProgressMeter,
-    parse_mix,
-    run_fleet,
-)
-from repro.core.results import (
-    CacheStats,
-    GcReport,
-    ResultCache,
-    RunResult,
-    SuiteResult,
-)
-from repro.core.runner import (
-    QUICK_CONFIG,
-    Reducer,
-    RunConfig,
-    SuiteRunner,
-    bench_seed,
-    dedup_ids,
-    execute_one,
-    prime_snapshot,
-)
-from repro.core.stats import (
-    DEFAULT_SAMPLE_CAPACITY,
-    FLEET_METRICS,
-    MetricSketch,
-    SketchSet,
-)
-from repro.core.snapshots import (
-    SnapshotStats,
-    SnapshotStore,
-    aggregate_disk_stats,
-    apply_seed_delta,
-    disable_snapshots,
-    enable_snapshots,
-    level1_key,
-    snapshot_gc,
-    snapshot_key,
-    snapshots_enabled,
-)
-from repro.core.spec import BenchmarkSpec, Category, Kind
-from repro.core.sweep import (
-    MaterializingReducer,
-    SweepAxis,
-    SweepPoint,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    parse_axis,
-    variant_label,
-)
-from repro.core.suite import (
-    AGAVE_BENCHMARKS,
-    AGAVE_IDS,
-    ALL_BENCHMARKS,
-    FIGURE_ORDER,
-    SPEC_BENCHMARKS,
-    SPEC_IDS,
-    benchmarks,
-    get_benchmark,
-)
+Exported names resolve on first access (see :mod:`repro._lazy`): a
+``repro suite`` never loads the sweep, fleet or pool machinery.
+"""
 
-__all__ = [
-    "AGAVE_BENCHMARKS",
-    "AGAVE_IDS",
-    "ALL_BENCHMARKS",
-    "AsyncBackend",
-    "BACKEND_NAMES",
-    "BackendError",
-    "BatchProgress",
-    "BenchmarkSpec",
-    "CacheStats",
-    "Category",
-    "DEFAULT_SAMPLE_CAPACITY",
-    "DeviceProfile",
-    "ExecutionBackend",
-    "FIGURE_ORDER",
-    "FLEET_METRICS",
-    "FleetReducer",
-    "FleetResult",
-    "FleetSpec",
-    "FleetUnit",
-    "GcReport",
-    "Kind",
-    "MaterializingReducer",
-    "MetricSketch",
-    "ProcessPoolBackend",
-    "ProgressCallback",
-    "ProgressMeter",
-    "QUICK_CONFIG",
-    "Reducer",
-    "ResultCache",
-    "RunConfig",
-    "RunResult",
-    "SPEC_BENCHMARKS",
-    "SPEC_IDS",
-    "SerialBackend",
-    "ShardedBackend",
-    "SketchSet",
-    "SnapshotStats",
-    "SnapshotStore",
-    "StreamingBackend",
-    "SuiteResult",
-    "SuiteRunner",
-    "SweepAxis",
-    "SweepPoint",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "WorkItem",
-    "bench_seed",
-    "benchmarks",
-    "dedup_ids",
-    "aggregate_disk_stats",
-    "apply_seed_delta",
-    "disable_snapshots",
-    "enable_snapshots",
-    "execute_one",
-    "get_benchmark",
-    "make_backend",
-    "parse_axis",
-    "parse_mix",
-    "parse_shard",
-    "level1_key",
-    "prime_snapshot",
-    "run_fleet",
-    "shard_ids",
-    "snapshot_gc",
-    "snapshot_key",
-    "snapshots_enabled",
-    "variant_label",
-]
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.core.backends": (
+        "BACKEND_NAMES",
+        "AsyncBackend",
+        "BackendError",
+        "BatchProgress",
+        "ExecutionBackend",
+        "ProcessPoolBackend",
+        "ProgressCallback",
+        "SerialBackend",
+        "ShardedBackend",
+        "StreamingBackend",
+        "WorkItem",
+        "make_backend",
+        "parse_shard",
+        "shard_ids",
+    ),
+    "repro.core.fleet": (
+        "DeviceProfile",
+        "FleetReducer",
+        "FleetResult",
+        "FleetSpec",
+        "FleetUnit",
+        "ProgressMeter",
+        "parse_mix",
+        "run_fleet",
+    ),
+    "repro.core.results": (
+        "CacheStats",
+        "GcReport",
+        "ResultCache",
+        "RunResult",
+        "SuiteResult",
+    ),
+    "repro.core.runner": (
+        "QUICK_CONFIG",
+        "Reducer",
+        "RunConfig",
+        "SuiteRunner",
+        "bench_seed",
+        "dedup_ids",
+        "execute_one",
+        "prime_snapshot",
+    ),
+    "repro.core.stats": (
+        "DEFAULT_SAMPLE_CAPACITY",
+        "FLEET_METRICS",
+        "MetricSketch",
+        "SketchSet",
+    ),
+    "repro.core.snapshots": (
+        "SnapshotStats",
+        "SnapshotStore",
+        "aggregate_disk_stats",
+        "apply_seed_delta",
+        "disable_snapshots",
+        "enable_snapshots",
+        "level1_key",
+        "snapshot_gc",
+        "snapshot_key",
+        "snapshots_enabled",
+    ),
+    "repro.core.spec": (
+        "BenchmarkSpec",
+        "Category",
+        "Kind",
+    ),
+    "repro.core.sweep": (
+        "MaterializingReducer",
+        "SweepAxis",
+        "SweepPoint",
+        "SweepResult",
+        "SweepRunner",
+        "SweepSpec",
+        "parse_axis",
+        "variant_label",
+    ),
+    "repro.core.suite": (
+        "AGAVE_BENCHMARKS",
+        "AGAVE_IDS",
+        "ALL_BENCHMARKS",
+        "FIGURE_ORDER",
+        "SPEC_BENCHMARKS",
+        "SPEC_IDS",
+        "benchmarks",
+        "get_benchmark",
+    ),
+})

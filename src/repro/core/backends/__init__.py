@@ -16,7 +16,7 @@ result assembly); a backend decides *how* the cache misses execute:
 
 from __future__ import annotations
 
-from repro.core.backends.async_ import AsyncBackend
+from repro._lazy import attach
 from repro.core.backends.base import (
     BackendError,
     BatchProgress,
@@ -25,16 +25,31 @@ from repro.core.backends.base import (
     StreamingBackend,
     WorkItem,
 )
-from repro.core.backends.process import ProcessPoolBackend
 from repro.core.backends.serial import SerialBackend
 from repro.core.backends.sharded import ShardedBackend, parse_shard, shard_ids
 
+# The pool backends pull in concurrent.futures.process and
+# multiprocessing; only a run that asks for a pool loads them.
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.core.backends.async_": ("AsyncBackend",),
+    "repro.core.backends.process": ("ProcessPoolBackend",),
+}, eager=(
+    "BACKEND_NAMES",
+    "BackendError",
+    "BatchProgress",
+    "ExecutionBackend",
+    "ProgressCallback",
+    "SerialBackend",
+    "ShardedBackend",
+    "StreamingBackend",
+    "WorkItem",
+    "make_backend",
+    "parse_shard",
+    "shard_ids",
+))
+
 #: CLI names of the selectable leaf backends.
-BACKEND_NAMES: tuple[str, ...] = (
-    SerialBackend.name,
-    ProcessPoolBackend.name,
-    AsyncBackend.name,
-)
+BACKEND_NAMES: tuple[str, ...] = (SerialBackend.name, "process", "async")
 
 
 def make_backend(
@@ -52,12 +67,16 @@ def make_backend(
     adaptive, sized from observed result sizes.
     """
     if name is None:
-        name = ProcessPoolBackend.name if jobs > 1 else SerialBackend.name
+        name = "process" if jobs > 1 else SerialBackend.name
     if name == SerialBackend.name:
         backend: ExecutionBackend = SerialBackend()
-    elif name == ProcessPoolBackend.name:
+    elif name == "process":
+        from repro.core.backends.process import ProcessPoolBackend
+
         backend = ProcessPoolBackend(jobs=max(jobs, 1))
-    elif name == AsyncBackend.name:
+    elif name == "async":
+        from repro.core.backends.async_ import AsyncBackend
+
         backend = AsyncBackend(jobs=max(jobs, 1), window=window)
     else:
         raise BackendError(
@@ -68,20 +87,3 @@ def make_backend(
         backend = ShardedBackend(index, count, inner=backend)
     return backend
 
-
-__all__ = [
-    "BACKEND_NAMES",
-    "AsyncBackend",
-    "BackendError",
-    "BatchProgress",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "ProgressCallback",
-    "SerialBackend",
-    "ShardedBackend",
-    "StreamingBackend",
-    "WorkItem",
-    "make_backend",
-    "parse_shard",
-    "shard_ids",
-]

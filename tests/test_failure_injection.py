@@ -97,18 +97,53 @@ def test_workload_missing_file_is_workload_error():
         model.file("album-track.mp3")
 
 
-def test_spec_calibration_guards_fire():
-    """Calibration sanity checks raise when the algorithm is broken."""
-    from repro.apps.spec.bzip2 import Bzip2Model, compress
-
-    model = Bzip2Model(seed=0)
-    # Sabotage: decompress must round-trip or calibrate() raises.
+def test_spec_calibration_guards_fire(monkeypatch):
+    """Calibration sanity checks raise a named error when the algorithm
+    is broken, so the CLI reports ``error: ...`` instead of a traceback."""
     import repro.apps.spec.bzip2 as bz
+    import repro.apps.spec.sjeng as sj
 
-    original = bz.decompress
-    bz.decompress = lambda coded: b"corrupted"
-    try:
-        with pytest.raises(AssertionError):
-            model.calibrate()
-    finally:
-        bz.decompress = original
+    # Sabotage: decompress must round-trip or calibrate() raises.
+    monkeypatch.setattr(bz, "decompress", lambda coded: b"corrupted")
+    with pytest.raises(WorkloadError, match="round-trip"):
+        bz.Bzip2Model(seed=0).calibrate()
+
+    # Sabotage: an alpha-beta that cuts off one point early prunes a
+    # sibling that would have raised the score; the self-check against
+    # exhaustive minimax must catch it.
+    def early_cutoff(piles, depth, alpha, beta, stats):
+        stats.nodes += 1
+        moves = sj.legal_moves(piles)
+        stats.moves_generated += len(moves)
+        if not moves:
+            return -100
+        if depth == 0:
+            stats.evals += 1
+            return sj.evaluate(piles)
+        best = -(10**9)
+        for move in moves:
+            score = -early_cutoff(sj.apply_move(piles, move), depth - 1,
+                                  -beta, -alpha, stats)
+            best = max(best, score)
+            alpha = max(alpha, best)
+            if alpha >= beta - 1:
+                break
+        return best
+
+    monkeypatch.setattr(sj, "negamax", early_cutoff)
+    with pytest.raises(WorkloadError, match="disagrees with minimax"):
+        sj.SjengModel(seed=0).calibrate()
+
+
+def test_broken_spec_kernel_exits_cleanly(monkeypatch, capsys):
+    """A failed calibration self-check ends the CLI in ``error: ...`` and
+    exit 2, not a traceback."""
+    import repro.apps.spec.bzip2 as bz
+    from repro.__main__ import main
+    from repro.apps.spec.base import SpecModel
+
+    monkeypatch.setattr(SpecModel, "_profiles", {})  # force a recalibration
+    monkeypatch.setattr(bz, "decompress", lambda coded: b"corrupted")
+    assert main(["--duration", "0.05", "--settle-ms", "10",
+                 "run", "401.bzip2"]) == 2
+    assert "error: bzip2 calibration kernel failed" in capsys.readouterr().err

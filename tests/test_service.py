@@ -42,7 +42,9 @@ def entry_body(tag: str, pad: int = 0) -> bytes:
 def server(tmp_path):
     """A live service over a fresh store, on an ephemeral port."""
     srv = make_server(str(tmp_path / "store"), port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(target=srv.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield srv
     srv.shutdown()

@@ -125,12 +125,39 @@ def test_hmm_emissions_normalised():
 # ---------------------------------------------------------------------------
 # 458.sjeng
 
-def test_alphabeta_matches_minimax_small():
-    for piles in ((1, 2), (3, 1, 2), (2, 2, 2)):
-        for depth in (2, 3, 4):
-            stats = sjeng.SearchStats()
-            ab = sjeng.negamax(piles, depth, -(10**9), 10**9, stats)
-            assert ab == sjeng.minimax_reference(piles, depth)
+TINY_POSITIONS = [
+    (piles, depth)
+    for piles in ((1, 2), (3, 1, 2), (2, 2, 2))
+    for depth in (2, 3, 4)
+]
+CAL = sjeng.SjengModel.CAL_POSITION
+
+
+def naive_minimax(piles, depth):
+    """Unmemoized exhaustive minimax: the oracle for the memoized one."""
+    moves = sjeng.legal_moves(piles)
+    if not moves:
+        return -100
+    if depth == 0:
+        return sjeng.evaluate(piles)
+    return max(-naive_minimax(sjeng.apply_move(piles, m), depth - 1)
+               for m in moves)
+
+
+@pytest.mark.parametrize(
+    "piles,depth", TINY_POSITIONS + [(CAL, depth) for depth in (1, 2, 3, 4)]
+)
+def test_memoized_minimax_matches_naive(piles, depth):
+    assert sjeng.minimax_reference(piles, depth) == naive_minimax(piles, depth)
+
+
+@pytest.mark.parametrize(
+    "piles,depth", TINY_POSITIONS + [(CAL, sjeng.SjengModel.CAL_DEPTH)]
+)
+def test_alphabeta_matches_minimax(piles, depth):
+    stats = sjeng.SearchStats()
+    ab = sjeng.negamax(piles, depth, -(10**9), 10**9, stats)
+    assert ab == sjeng.minimax_reference(piles, depth)
 
 
 def test_alphabeta_prunes():
