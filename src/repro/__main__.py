@@ -52,10 +52,12 @@ import sys
 from typing import Callable
 
 from repro.calibration import profile_cpu_count
-# SuiteRunner's module imports the whole simulator, so it is loaded here
-# in the parent before any pool forks its workers.  Everything only one
-# subcommand needs (sweep, fleet, pools, analysis, the service) is
-# imported inside that command.
+# Only orchestration is imported here: none of these modules loads the
+# simulator.  It loads when the first unit actually has to run (see
+# repro.core.runner.execute_with_cache), in this process and before any
+# pool forks, so a warm-cache replay never pays for it.  Everything only
+# one subcommand needs (sweep, fleet, pools, analysis, the service,
+# snapshots) is imported inside that command.
 from repro.core import (
     BACKEND_NAMES,
     ResultCache,
@@ -64,10 +66,8 @@ from repro.core import (
     SuiteResult,
     SuiteRunner,
     benchmarks,
-    enable_snapshots,
     make_backend,
 )
-from repro.core.snapshots import active_store, aggregate_disk_stats
 from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
 from repro.sim.ticks import millis, seconds
@@ -206,6 +206,12 @@ def _progress_printer(
 def _print_snapshot_stats() -> None:
     """One summary line after a run with ``--snapshots`` (hit/miss
     accounting is how warm-template reuse is observed from the CLI)."""
+    # enable_snapshots() exports REPRO_SNAPSHOTS, and no store exists
+    # without it: a run with snapshots off never loads the module.
+    if not os.environ.get("REPRO_SNAPSHOTS"):
+        return
+    from repro.core.snapshots import active_store, aggregate_disk_stats
+
     store = active_store()
     if store is None:
         return
@@ -521,7 +527,7 @@ def cmd_snapshot_stats(args: argparse.Namespace) -> int:
     """
     import time as _time
 
-    from repro.core import prime_snapshot
+    from repro.core import enable_snapshots, prime_snapshot
 
     store = enable_snapshots()
     cfg = _config(args)
@@ -870,15 +876,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     snapshot_dir = getattr(args, "snapshot_dir", None)
-    if snapshot_dir:
-        # Disk-backed fast path: templates are shared with every pool
-        # worker (and every later run) through the directory.
-        enable_snapshots(root=snapshot_dir)
-    elif getattr(args, "snapshots", False):
+    if snapshot_dir or getattr(args, "snapshots", False):
+        from repro.core import enable_snapshots
+
         # Global switch: any command that may simulate (suite, sweep,
         # artifact commands without --results) gets the fast path, and
-        # spawned pool workers inherit it via the environment.
-        enable_snapshots()
+        # spawned pool workers inherit it via the environment.  With
+        # --snapshot-dir the templates are also shared with every pool
+        # worker (and every later run) through the directory.
+        enable_snapshots(root=snapshot_dir)
     try:
         return args.func(args)
     except ReproError as exc:

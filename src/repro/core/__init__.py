@@ -33,6 +33,7 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "parse_mix",
         "run_fleet",
     ),
+    "repro.core.execute": ("prime_snapshot",),
     "repro.core.results": (
         "CacheStats",
         "GcReport",
@@ -48,7 +49,6 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "bench_seed",
         "dedup_ids",
         "execute_one",
-        "prime_snapshot",
     ),
     "repro.core.stats": (
         "DEFAULT_SAMPLE_CAPACITY",

@@ -151,20 +151,18 @@ class StreamingBackend(ExecutionBackend, Protocol):
     may be invoked concurrently with the calling thread, so shared
     callbacks must synchronise.
 
-    Implementations *may* additionally accept a keyword-only-style
-    ``collect: bool = True`` parameter: with ``collect=False`` the
-    backend must not retain any result past its ``on_result`` call and
-    returns an empty list, so a streaming *reduction* (fleet-scale
-    aggregation) runs in O(window) memory no matter how many units pass
-    through.  Callers probe for the parameter by signature
-    (:func:`~repro.core.runner._stream_supports_collect`) — a backend
-    without it simply materialises, which is correct, just not bounded.
+    ``collect: bool = True`` is part of the protocol: with
+    ``collect=False`` the backend must not retain any result past its
+    ``on_result`` call and returns an empty list, so a streaming
+    *reduction* (fleet-scale aggregation) runs in O(window) memory no
+    matter how many units pass through.  Callers pass it unconditionally.
     """
 
     def execute_stream(
         self,
         items: "Iterable[tuple[str, RunConfig]]",
         on_result: BatchProgress | None = None,
+        collect: bool = True,
     ) -> "list[RunResult]":
         """Run every streamed item, results in consumption order."""
         ...

@@ -8,7 +8,6 @@ input (order preserved within each shard).
 
 from __future__ import annotations
 
-import inspect
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from repro.core.backends.base import (
@@ -117,17 +116,14 @@ class ShardedBackend:
 
         Sharding itself happened in :meth:`plan_batch` — by the time a
         stream reaches execution, the items are already this shard's —
-        so streaming is purely the inner backend's concern.  ``collect``
-        is forwarded when the inner stream understands it; a batch-only
-        inner backend materialises regardless (its results list exists
-        either way), and the no-collect contract is honoured by
-        returning none of them.
+        so streaming is purely the inner backend's concern and
+        ``collect`` is forwarded to it.  A batch-only inner backend
+        materialises regardless (its results list exists either way),
+        and the no-collect contract is honoured by returning none of
+        them.
         """
         inner_stream = getattr(self.inner, "execute_stream", None)
         if inner_stream is not None:
-            if "collect" in inspect.signature(inner_stream).parameters:
-                return inner_stream(items, on_result, collect=collect)
-            results = inner_stream(items, on_result)
-            return results if collect else []
+            return inner_stream(items, on_result, collect=collect)
         results = self.inner.execute_batch(list(items), on_result)
         return results if collect else []

@@ -34,7 +34,7 @@ from repro.calibration import (
     profile_cpu_count,
 )
 from repro.core import snapshots
-from repro.core.results import ResultCache, RunResult
+from repro.core.results import ResultCache, RunResult, write_atomic
 from repro.core.runner import Reducer, RunConfig, execute_with_cache
 from repro.core.stats import (
     DEFAULT_SAMPLE_CAPACITY,
@@ -422,9 +422,9 @@ class FleetResult:
 
     def save(self, path: str) -> None:
         """Write canonical JSON (sorted keys: equal results are equal
-        bytes, which is what the sharded-equivalence CI check compares)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+        bytes, which is what the sharded-equivalence CI check compares),
+        atomically: see :func:`~repro.core.results.write_atomic`."""
+        write_atomic(path, json.dumps(self.to_json_dict(), sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "FleetResult":

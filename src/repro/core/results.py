@@ -50,6 +50,25 @@ def _decode_cpus(d: dict[str, int]) -> dict[int, int]:
     return {int(cpu_id): v for cpu_id, v in d.items()}
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Replace *path* with *text*, all or nothing.
+
+    Writes ``<path>.tmp.<pid>`` and renames it over *path*, so an
+    exception, Ctrl-C or a full disk mid-write leaves the previous file
+    intact; the tmp file is unlinked before the error propagates (its
+    pid is this live process, so no stale-tmp sweep would reap it).
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class RunResult:
     """Everything measured during one benchmark's window."""
@@ -364,10 +383,10 @@ class SuiteResult:
     # ------------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write all runs to a JSON file."""
+        """Write all runs to a JSON file (atomically: see
+        :func:`write_atomic`)."""
         payload = {bid: run.to_json_dict() for bid, run in self.runs.items()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        write_atomic(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: str) -> "SuiteResult":
@@ -488,21 +507,14 @@ class ResultCache:
     def put(self, bench_id: str, cfg: "RunConfig", result: RunResult) -> None:
         """Store one completed run (atomically, for concurrent writers).
 
-        A failed write unlinks its tmp file before re-raising: the pid
-        in the tmp name is *this* process, so :meth:`sweep_stale_tmp`
-        would rightly refuse to clean it up for as long as we live —
-        the dropping would outlast every sweep until exit.
+        A failed write leaves no tmp file behind (:func:`write_atomic`):
+        the pid in the tmp name is *this* process, so
+        :meth:`sweep_stale_tmp` would rightly refuse to clean it up for
+        as long as we live.
         """
-        path = self._path(bench_id, cfg)
-        tmp = path + f".tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(result.to_json_dict(), fh)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
+        write_atomic(
+            self._path(bench_id, cfg), json.dumps(result.to_json_dict())
+        )
 
     def __len__(self) -> int:
         return len(self._entry_names())
@@ -683,11 +695,9 @@ class ResultCache:
                 name: ts for name, ts in last_hit.items() if name in present
             },
         }
-        path = os.path.join(self.root, self.STATS_FILE)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
+        write_atomic(
+            os.path.join(self.root, self.STATS_FILE), json.dumps(payload)
+        )
         self._flushed_hits = self.hits
         self._flushed_misses = self.misses
 

@@ -12,6 +12,10 @@ top-level function mapping ``(bench_id, config)`` to a :class:`RunResult`
 inside the config, so workers in other processes reproduce runs exactly),
 and :class:`SuiteRunner` orchestrates batches: dedup, cache lookups, and
 delegation to a pluggable :class:`~repro.core.backends.ExecutionBackend`.
+
+This module is orchestration only and does not import the simulator;
+the simulation half lives in :mod:`repro.core.execute`, loaded when the
+first unit actually has to run (see :func:`execute_with_cache`).
 """
 
 from __future__ import annotations
@@ -22,20 +26,12 @@ import zlib
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.android.app import start_activity
-from repro.android.boot import boot_android
 from repro.calibration import Calibration, profile_cpu_count, use_calibration
-from repro.core import snapshots
 from repro.core.backends.base import shortfall_error
 from repro.core.results import ResultCache, RunResult, SuiteResult
-from repro.core.spec import BenchmarkSpec
 from repro.core.suite import benchmarks, get_benchmark
 from repro.errors import ConfigError
-from repro.faults import runtime as fault_runtime
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.kernel.layout import truncate_comm
-from repro.sim.system import System
 from repro.sim.ticks import millis, seconds
 
 if TYPE_CHECKING:
@@ -162,186 +158,16 @@ def execute_one(bench_id: str, cfg: RunConfig) -> RunResult:
 
     Top-level and picklable so process-pool backends can ship it to
     workers; the calibration override is installed here, inside whichever
-    process runs the benchmark, rather than inherited ambiently.
+    process runs the benchmark, rather than inherited ambiently.  The
+    simulator (:mod:`repro.core.execute`) is imported on the first call.
     """
+    from repro.core.execute import run_spec
+
     spec = get_benchmark(bench_id)
     if cfg.calibration is not None:
         with use_calibration(cfg.calibration):
-            return _run_spec(spec, cfg)
-    return _run_spec(spec, cfg)
-
-
-def _prepared_system(spec: BenchmarkSpec, cfg: RunConfig):
-    """``(system, stack, model)`` at the pre-settle point — fresh or
-    restored.
-
-    The checkpoint sits after boot *and* after workload-model
-    construction (plus ``setup_files`` for Android benchmarks, i.e. the
-    app install): everything up to here is a pure function of the
-    snapshot key — ``spec.factory`` takes only the bench seed, and the
-    install mutates the system deterministically — while everything
-    after (settle, window, workload) depends on the excluded
-    duration/settle knobs and runs fresh every time.
-
-    With snapshots off this builds from scratch.  With a store enabled,
-    the lookup walks the tiers: a full level-2 template (memory, then
-    the shared disk directory), then a seed-independent level-1 template
-    with the bench seed folded back in by ``apply_seed_delta`` and the
-    model rebuilt from its factory, and only when both miss does the
-    stack actually boot — under a per-key lock so concurrent workers
-    sharing a disk store boot each level-1 template once per host.  The
-    miss run captures both levels and continues on the freshly built
-    graph (it pays serialises, never a restore).
-    """
-    store = snapshots.active_store()
-    if store is None:
-        return _build_fresh(spec, cfg)
-    try:
-        return _prepared_with_store(store, spec, cfg)
-    finally:
-        store.flush_worker_stats()
-
-
-def _build_fresh(spec: BenchmarkSpec, cfg: RunConfig):
-    seed = bench_seed(spec.bench_id, cfg)
-    system = System(seed=seed, cpus=cfg.cpus, cpu_profile=cfg.cpu_profile)
-    stack = boot_android(system, jit_enabled=cfg.jit_enabled)
-    model = spec.factory(seed)
-    if spec.is_android:
-        model.setup_files(system)
-    return system, stack, model
-
-
-def _prepared_with_store(
-    store: "snapshots.SnapshotStore", spec: BenchmarkSpec, cfg: RunConfig
-):
-    key = snapshots.snapshot_key(spec.bench_id, cfg)
-    restored = store.restore(key)
-    if restored is not None:
-        return restored
-    seed = bench_seed(spec.bench_id, cfg)
-    l1_key = snapshots.level1_key(cfg)
-    derived = store.derive(key, l1_key, seed, spec.bench_id)
-    if derived is not None:
-        return derived
-    with store.boot_lock(l1_key):
-        # Another worker may have published the level-1 template while
-        # this one waited on the lock; re-check before paying the boot.
-        derived = store.derive(key, l1_key, seed, spec.bench_id)
-        if derived is not None:
-            return derived
-        system = System(seed=seed, cpus=cfg.cpus, cpu_profile=cfg.cpu_profile)
-        stack = boot_android(system, jit_enabled=cfg.jit_enabled)
-        store.capture_level1(l1_key, system, stack)
-        model = spec.factory(seed)
-        if spec.is_android:
-            model.setup_files(system)
-        store.capture(key, (system, stack, model))
-    return system, stack, model
-
-
-def prime_snapshot(bench_id: str, cfg: RunConfig) -> str:
-    """Build (or reuse) the boot template for this config without
-    running any workload; returns the template key.
-
-    Installs the config's calibration override exactly as a real run
-    would, so the captured boot is the one runs will restore.
-    """
-    spec = get_benchmark(bench_id)
-    if cfg.calibration is not None:
-        with use_calibration(cfg.calibration):
-            _prepared_system(spec, cfg)
-    else:
-        _prepared_system(spec, cfg)
-    return snapshots.snapshot_key(bench_id, cfg)
-
-
-def _run_spec(spec: BenchmarkSpec, cfg: RunConfig) -> RunResult:
-    seed = bench_seed(spec.bench_id, cfg)
-    system, stack, model = _prepared_system(spec, cfg)
-
-    # Settle and the pre-settle checkpoint stay fault-free: the injector
-    # arms at the window edge, so boot-snapshot templates are shared
-    # across plans and faults only perturb the measured interval.
-    system.run_for(cfg.settle_ticks)
-    system.profiler.reset()
-    window = _open_window(system)
-    injector = None
-    if cfg.faults is not None:
-        injector = FaultInjector(cfg.faults, seed, system, stack)
-        injector.arm(system.clock.now)
-        fault_runtime.activate(injector)
-    try:
-        if spec.is_android:
-            record = start_activity(stack, model, background=spec.background)
-            system.run_for(cfg.duration_ticks)
-            comm = model.benchmark_comm
-            meta = {
-                "package": model.package,
-                "mode": "background" if spec.background else "foreground",
-                "launched": record.proc is not None,
-                "frames_drawn": record.app.frames_drawn if record.app else 0,
-                "sf_frames": stack.sf.frames_composited,
-                "gc_cycles": record.app.ctx.gc_cycles if record.app else 0,
-                "jit_compiled": len(record.app.ctx.compiled) if record.app else 0,
-            }
-        else:
-            proc = model.launch(system)
-            system.run_for(cfg.duration_ticks)
-            comm = truncate_comm(model.name)
-            meta = {
-                "profile_insts": model.profile.insts,
-                "pid": proc.pid,
-            }
-    finally:
-        if injector is not None:
-            fault_runtime.deactivate()
-            injector.disarm()
-
-    reaped_at_open, busy_at_open, any_busy_at_open = window
-    # "Threads spawned": every thread alive at window close plus the
-    # transients that came and went inside the window.
-    threads_observed = system.kernel.thread_count() + (
-        system.kernel.threads_reaped - reaped_at_open
-    )
-    smp: dict = {}
-    if cfg.cpus > 1:
-        # Per-CPU busy/idle deltas over the measurement window.  Only
-        # multi-core runs carry them: single-core results must stay
-        # byte-identical to the pre-SMP engine's output.
-        smp = {
-            "cpus": cfg.cpus,
-            "instr_by_cpu": dict(system.profiler.instr_by_cpu),
-            "data_by_cpu": dict(system.profiler.data_by_cpu),
-            "busy_ticks_by_cpu": {
-                cpu.cpu_id: cpu.busy_ticks - busy_at_open[cpu.cpu_id]
-                for cpu in system.cpus
-            },
-            "any_busy_ticks": system.engine.any_busy_ticks - any_busy_at_open,
-        }
-    if cfg.cpu_profile is not None:
-        smp["cpu_profile"] = cfg.cpu_profile
-    return RunResult.from_profiler(
-        bench_id=spec.bench_id,
-        benchmark_comm=comm,
-        profiler=system.profiler,
-        duration_ticks=cfg.duration_ticks,
-        seed=seed,
-        live_processes=system.kernel.process_count(),
-        threads_spawned_total=threads_observed,
-        meta=meta,
-        fault_counters=injector.counters() if injector is not None else {},
-        **smp,
-    )
-
-
-def _open_window(system: System) -> tuple[int, list[int], int]:
-    """Census counters snapshotted as the measurement window opens."""
-    return (
-        system.kernel.threads_reaped,
-        [cpu.busy_ticks for cpu in system.cpus],
-        system.engine.any_busy_ticks,
-    )
+            return run_spec(spec, cfg)
+    return run_spec(spec, cfg)
 
 
 def dedup_ids(ids: Iterable[str]) -> list[str]:
@@ -388,18 +214,9 @@ class Reducer:
         raise NotImplementedError
 
 
-def _stream_supports_collect(execute_stream: object) -> bool:
-    """Whether a backend's ``execute_stream`` accepts ``collect``.
-
-    Third-party/test backends may predate the flag; they simply keep
-    materialising their return list (correct, just not O(1) memory).
-    """
-    import inspect
-
-    try:
-        return "collect" in inspect.signature(execute_stream).parameters
-    except (TypeError, ValueError):
-        return False
+def _load_simulator() -> None:
+    """Import the simulation half of the runner (a no-op once loaded)."""
+    import repro.core.execute  # noqa: F401
 
 
 def execute_with_cache(
@@ -435,12 +252,17 @@ def execute_with_cache(
     lookups for later units overlap simulations already in flight, and
     cache writes run inside the backend's completion handling (off the
     critical path for the async backend).  With *retain_results* off,
-    backends whose ``execute_stream`` takes a ``collect`` flag are asked
-    not to materialise their return list either.  Completion callbacks
+    the backend is streamed ``collect=False`` and does not materialise
+    its return list either.  Completion callbacks
     may be concurrent with the probing thread, so result recording,
     *reducer* consumption and *progress* invocations are serialised
     under a lock — results stay a pure function of ``(bench_id,
     config)`` either way, byte-identical to the batch path.
+
+    The simulator is imported here, in the calling process, just before
+    the first miss is handed to the backend: pool workers fork after it
+    and inherit it rather than each importing it, and a batch served
+    wholly from the cache never loads it.
     """
     results: "list[RunResult | None] | None" = (
         [None] * len(items) if retain_results else None
@@ -488,17 +310,19 @@ def execute_with_cache(
         """Probe lazily, yielding only the items the backend must run."""
         for index in range(len(items)):
             if not probe(index):
+                _load_simulator()
                 yield items[index]
 
     try:
         if execute_stream is not None:
-            if not retain_results and _stream_supports_collect(execute_stream):
-                returned = execute_stream(misses(), on_result, collect=False)
-            else:
-                returned = execute_stream(misses(), on_result)
+            returned = execute_stream(
+                misses(), on_result, collect=retain_results
+            )
         else:
             for index in range(len(items)):
                 probe(index)
+            if pending:
+                _load_simulator()
             returned = backend.execute_batch(
                 [items[index] for index in pending], on_result
             )

@@ -89,9 +89,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.results import GcReport, _pid_alive
-from repro.dalvik.method import JavaMethod
-from repro.kernel.vma import VMA, VMAKind
-from repro.libs.object import MappedObject, SharedObject
 
 if TYPE_CHECKING:
     from repro.core.runner import RunConfig
@@ -202,6 +199,10 @@ def apply_seed_delta(system, stack, seed: int) -> None:
 def _shareable(obj: object) -> bool:
     """Whether *obj* is immutable post-construction and safe to hand to
     every system restored from the template (see module docstring)."""
+    from repro.dalvik.method import JavaMethod
+    from repro.kernel.vma import VMA, VMAKind
+    from repro.libs.object import MappedObject, SharedObject
+
     t = obj.__class__
     if t is VMA:
         # brk() grows the [heap] VMA in place; every other VMA field
@@ -346,6 +347,10 @@ class SnapshotStore:
         paused for the duration — a dump touches the whole graph and
         allocates steadily, which otherwise triggers collection passes
         mid-walk for no benefit."""
+        from repro.dalvik.method import JavaMethod
+        from repro.kernel.vma import VMA, VMAKind
+        from repro.libs.object import MappedObject, SharedObject
+
         t0 = time.perf_counter()
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -753,7 +758,7 @@ def _fold_dead_stats(root: str) -> int:
     tmp = base_path + f".tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(totals, fh, sort_keys=True)
+            fh.write(json.dumps(totals, sort_keys=True))
         os.replace(tmp, base_path)
     except OSError:
         with contextlib.suppress(OSError):

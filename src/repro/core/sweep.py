@@ -32,7 +32,7 @@ from repro.calibration import (
     profile_cpu_count,
 )
 from repro.core import snapshots
-from repro.core.results import ResultCache, RunResult
+from repro.core.results import ResultCache, RunResult, write_atomic
 from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
 from repro.core.suite import get_benchmark
 from repro.errors import AnalysisError, ConfigError
@@ -485,9 +485,9 @@ class SweepResult:
         return out
 
     def save(self, path: str) -> None:
-        """Write the sweep to a JSON file."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        """Write the sweep to a JSON file (atomically: see
+        :func:`~repro.core.results.write_atomic`)."""
+        write_atomic(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path: str) -> "SweepResult":

@@ -1,35 +1,25 @@
-"""Linux 2.6.35-style kernel model: memory, tasks, scheduling, I/O."""
+"""Linux 2.6.35-style kernel model: memory, tasks, scheduling, I/O.
 
-from repro.kernel.addrspace import AddressSpace
-from repro.kernel.layout import (
-    KERNEL_BASE,
-    MMAP_THRESHOLD,
-    PAGE_SIZE,
-    truncate_comm,
-)
-from repro.kernel.pagecache import File, Filesystem
-from repro.kernel.proc import Kernel
-from repro.kernel.sched import Scheduler, TimerQueue
-from repro.kernel.task import Process, Task, TaskState
-from repro.kernel.vma import VMA, Permissions, VMAKind
-from repro.kernel.waitq import WaitQueue
+Exported names resolve on first access (see :mod:`repro._lazy`), so a
+leaf such as :mod:`repro.kernel.layout` imports alone.  That keeps the
+package out of an import cycle: the library catalog needs the layout
+constants, while the loader (under :class:`Kernel`) maps libraries.
+"""
 
-__all__ = [
-    "AddressSpace",
-    "File",
-    "Filesystem",
-    "KERNEL_BASE",
-    "Kernel",
-    "MMAP_THRESHOLD",
-    "PAGE_SIZE",
-    "Permissions",
-    "Process",
-    "Scheduler",
-    "Task",
-    "TaskState",
-    "TimerQueue",
-    "VMA",
-    "VMAKind",
-    "WaitQueue",
-    "truncate_comm",
-]
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.kernel.addrspace": ("AddressSpace",),
+    "repro.kernel.layout": (
+        "KERNEL_BASE",
+        "MMAP_THRESHOLD",
+        "PAGE_SIZE",
+        "truncate_comm",
+    ),
+    "repro.kernel.pagecache": ("File", "Filesystem"),
+    "repro.kernel.proc": ("Kernel",),
+    "repro.kernel.sched": ("Scheduler", "TimerQueue"),
+    "repro.kernel.task": ("Process", "Task", "TaskState"),
+    "repro.kernel.vma": ("VMA", "Permissions", "VMAKind"),
+    "repro.kernel.waitq": ("WaitQueue",),
+})

@@ -1,57 +1,42 @@
 """gem5-style simulation substrate: clock, atomic CPU, profiler, engine.
 
-``System`` and ``Engine`` are exported lazily (PEP 562): they sit above
-the kernel layer, and importing them eagerly here would close an import
-cycle (sim.ops -> sim.__init__ -> system -> kernel -> sim.ops).
+Exported names resolve on first access (see :mod:`repro._lazy`), so
+importing a leaf such as :mod:`repro.sim.ticks` loads that module alone.
+The orchestration layer (CLI, catalog, result codec, cache) needs only
+the tick helpers; a warm-cache replay therefore never loads the engine,
+the kernel or anything above them.  Lazy exports also keep the package
+free of import cycles: ``System`` sits above the kernel layer, which in
+turn imports :mod:`repro.sim.ops`.
 """
 
-from repro.sim.cpu import AtomicCPU
-from repro.sim.devices import AudioDevice, DeviceSet, FramebufferDevice, StorageDevice
-from repro.sim.memprofiler import MemProfiler
-from repro.sim.ops import YIELD, Block, ExecBlock, Sleep, SleepUntil, Yield, merge_data
-from repro.sim.ticks import (
-    Clock,
-    insts_to_ticks,
-    micros,
-    millis,
-    seconds,
-    to_seconds,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AtomicCPU",
-    "AudioDevice",
-    "Block",
-    "Clock",
-    "DeviceSet",
-    "Engine",
-    "ExecBlock",
-    "FramebufferDevice",
-    "MemProfiler",
-    "Sleep",
-    "SleepUntil",
-    "StorageDevice",
-    "System",
-    "YIELD",
-    "Yield",
-    "insts_to_ticks",
-    "merge_data",
-    "micros",
-    "millis",
-    "seconds",
-    "to_seconds",
-]
-
-_LAZY = {"System": "repro.sim.system", "Engine": "repro.sim.engine"}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(target)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "repro.sim.cpu": ("AtomicCPU",),
+    "repro.sim.devices": (
+        "AudioDevice",
+        "DeviceSet",
+        "FramebufferDevice",
+        "StorageDevice",
+    ),
+    "repro.sim.engine": ("Engine",),
+    "repro.sim.memprofiler": ("MemProfiler",),
+    "repro.sim.ops": (
+        "YIELD",
+        "Block",
+        "ExecBlock",
+        "Sleep",
+        "SleepUntil",
+        "Yield",
+        "merge_data",
+    ),
+    "repro.sim.system": ("System",),
+    "repro.sim.ticks": (
+        "Clock",
+        "insts_to_ticks",
+        "micros",
+        "millis",
+        "seconds",
+        "to_seconds",
+    ),
+})

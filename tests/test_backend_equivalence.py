@@ -443,14 +443,15 @@ class PullOneBackend(SerialBackend):
 
     name = "pull-one"
 
-    def execute_stream(self, items, on_result=None):
+    def execute_stream(self, items, on_result=None, collect=True):
         out = []
         for index, (bench_id, cfg) in enumerate(items):
             run = execute_one(bench_id, cfg)
             self.executed.append(bench_id)
             if on_result is not None:
                 on_result(index, 0.1, run)
-            out.append(run)
+            if collect:
+                out.append(run)
         return out
 
 

@@ -1,12 +1,19 @@
 """RunResult / SuiteResult serialisation and determinism."""
 
+import errno
+import io
+import json
 import os
 import warnings
 
 import pytest
 
 from repro.core import QUICK_CONFIG, RunConfig, SuiteRunner
+from repro.core import results as results_module
+from repro.core.fleet import FleetResult
 from repro.core.results import ResultCache, RunResult, SuiteResult
+from repro.core.stats import SketchSet
+from repro.core.sweep import SweepResult
 from repro.errors import AnalysisError
 from repro.sim.ticks import millis
 
@@ -27,6 +34,76 @@ def test_suite_save_load(tmp_path, quick_suite):
     assert set(loaded.ids()) == set(quick_suite.ids())
     for bid in quick_suite.ids():
         assert loaded.get(bid).total_refs == quick_suite.get(bid).total_refs
+
+
+def _outputs(runs: "list[RunResult]") -> dict:
+    """A suite, a sweep and a fleet result built from *runs*: the three
+    kinds of ``--out`` file."""
+    suite, sweep, sketches = SuiteResult(), SweepResult(), SketchSet()
+    for run in runs:
+        suite.add(run)
+        sweep.bench_ids.append(run.bench_id)
+        sweep.add(run.bench_id, "base", run)
+        sketches.observe(run.bench_id, run)
+    fleet = FleetResult(spec={}, spec_digest="0", devices=len(runs),
+                        units_total=len(runs), devices_done=len(runs),
+                        population={}, sketches=sketches)
+    return {"suite": suite, "sweep": sweep, "fleet": fleet}
+
+
+@pytest.mark.parametrize("kind", ["suite", "sweep", "fleet"])
+def test_torn_save_keeps_the_previous_file(tmp_path, monkeypatch,
+                                           quick_suite, kind):
+    """A write that fails partway (here: disk full after half the bytes)
+    must leave the previous ``--out`` file intact and no tmp file."""
+    out = _outputs([quick_suite.get(b) for b in quick_suite.ids()])[kind]
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous good output")
+
+    class FullDisk(io.StringIO):
+        def write(self, text: str) -> int:
+            with open(self.target, "w", encoding="utf-8") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def torn_open(file, mode="r", **kwargs):
+        handle = FullDisk()
+        handle.target = file
+        return handle
+
+    monkeypatch.setattr(results_module, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        out.save(str(path))
+    assert path.read_bytes() == b"previous good output"
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+
+def test_saved_bytes_match_the_pure_python_encoder(tmp_path, quick_suite):
+    """Output is written with ``json.dumps`` (the C encoder); it must be
+    byte-identical to what ``json.dump`` (pure Python) wrote before."""
+    outputs = _outputs([quick_suite.get(b) for b in quick_suite.ids()])
+    run = quick_suite.get("music.mp3.view")
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.put(run.bench_id, QUICK_CONFIG, run)
+    written = {
+        kind: tmp_path / f"{kind}.json" for kind in outputs
+    }
+    for kind, out in outputs.items():
+        out.save(str(written[kind]))
+    written["entry"] = tmp_path / "cache" / os.path.basename(
+        cache._path(run.bench_id, QUICK_CONFIG))
+    expected = {
+        "suite": ({b: r.to_json_dict() for b, r in quick_suite.runs.items()},
+                  False),
+        "sweep": (outputs["sweep"].to_json_dict(), False),
+        "fleet": (outputs["fleet"].to_json_dict(), True),
+        "entry": (run.to_json_dict(), False),
+    }
+    for kind, (payload, sort_keys) in expected.items():
+        pure = io.StringIO()
+        json.dump(payload, pure, sort_keys=sort_keys)
+        assert written[kind].read_text(encoding="utf-8") == pure.getvalue(), \
+            kind
 
 
 def test_subset_errors_on_missing(quick_suite):
