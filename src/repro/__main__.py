@@ -17,14 +17,12 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
     python -m repro cache stats .agave-cache
     python -m repro cache gc .agave-cache --max-bytes 50000000 --dry-run
     python -m repro cache gc .agave-cache --max-entries 100 --lru
-    python -m repro sweep --axis duration=0.5,1,2 --snapshots
     python -m repro sweep --axis cal.preset=baseline,lowend,highend
     python -m repro --faults chaos run vlc.mp4.view
     python -m repro sweep --axis faults=none,binder-flaky,sf-kill
     python -m repro faults --bench vlc.mp4.view --plan sf-kill
-    python -m repro snapshot stats --bench music.mp3.view
     python -m repro fleet --devices 1000 --profile-mix none=3,2+2=1 \\
-        --preset-mix baseline=2,lowend=1 --jobs 4 --snapshots --progress
+        --preset-mix baseline=2,lowend=1 --jobs 4 --progress
     python -m repro fleet --devices 1000 --shard 1/2 --out shard1.json
     python -m repro fleet --merge shard1.json shard2.json
     python -m repro serve .agave-cache --port 8750
@@ -56,8 +54,8 @@ from repro.calibration import profile_cpu_count
 # simulator.  It loads when the first unit actually has to run (see
 # repro.core.runner.execute_with_cache), in this process and before any
 # pool forks, so a warm-cache replay never pays for it.  Everything only
-# one subcommand needs (sweep, fleet, pools, analysis, the service,
-# snapshots) is imported inside that command.
+# one subcommand needs (sweep, fleet, pools, analysis, the service) is
+# imported inside that command.
 from repro.core import (
     BACKEND_NAMES,
     ResultCache,
@@ -128,24 +126,11 @@ def _add_exec_flags(
                              "GET with local write-through, fresh runs "
                              "published back with PUT")
     parser.add_argument("--cache-revalidate", action="store_true",
-                        help="with --cache-url: confirm each local cache "
-                             "hit against the service once per run via "
-                             "conditional GET (If-None-Match on the "
-                             "entry's ETag; a 304 costs no body transfer)")
-    parser.add_argument("--snapshots", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="boot-snapshot fast path: boot each "
-                             "(seed, jit, calibration, cpus, cpu_profile) "
-                             "configuration once and restore the warm "
-                             "template for its other duration/settle "
-                             "variants (results stay byte-identical)")
-    parser.add_argument("--snapshot-dir", metavar="DIR",
-                        help="shared on-disk snapshot template store "
-                             "(implies --snapshots): templates spill to "
-                             "DIR and every worker process — and every "
-                             "later run pointed at DIR — restores them "
-                             "instead of booting, so each boot "
-                             "configuration boots once per host")
+                        help="with --cache-url (an error without it): "
+                             "confirm each local cache hit against the "
+                             "service once per run via conditional GET "
+                             "(If-None-Match on the entry's ETag; a 304 "
+                             "costs no body transfer)")
     parser.add_argument("--progress", action="store_true",
                         help="print a line as each benchmark completes")
 
@@ -157,17 +142,17 @@ def _make_cache(args: argparse.Namespace):
     ``--cache-url`` stacks the remote service behind it (and with no
     local directory at all, lookups go straight to the service).
     """
-    local = ResultCache(args.cache) if args.cache else None
     url = getattr(args, "cache_url", None)
+    revalidate = getattr(args, "cache_revalidate", False)
+    if revalidate and not url:
+        raise ConfigError("--cache-revalidate needs --cache-url")
+    local = ResultCache(args.cache) if args.cache else None
     if not url:
         return local
     from repro.service import CacheClient, RemoteCacheBackend
 
-    return RemoteCacheBackend(
-        CacheClient(url),
-        local=local,
-        revalidate=getattr(args, "cache_revalidate", False),
-    )
+    return RemoteCacheBackend(CacheClient(url), local=local,
+                              revalidate=revalidate)
 
 
 def _make_runner(args: argparse.Namespace) -> SuiteRunner:
@@ -201,38 +186,6 @@ def _progress_printer(
               f"{result.total_refs:>15,} refs", flush=True)
 
     return emit
-
-
-def _print_snapshot_stats() -> None:
-    """One summary line after a run with ``--snapshots`` (hit/miss
-    accounting is how warm-template reuse is observed from the CLI)."""
-    # enable_snapshots() exports REPRO_SNAPSHOTS, and no store exists
-    # without it: a run with snapshots off never loads the module.
-    if not os.environ.get("REPRO_SNAPSHOTS"):
-        return
-    from repro.core.snapshots import active_store, aggregate_disk_stats
-
-    store = active_store()
-    if store is None:
-        return
-    stats = store.stats()
-    print(f"snapshots: {stats.hits} hits, {stats.misses} misses, "
-          f"{stats.templates} templates ({stats.blob_bytes:,} bytes, "
-          f"{stats.shared_objects} shared objects)", flush=True)
-    if store.root:
-        # Disk tier: the per-session counter files make the accounting
-        # exact across pool workers and cumulative across runs.
-        store.flush_worker_stats()
-        tiers = aggregate_disk_stats(store.root)
-    else:
-        tiers = {f: getattr(stats, f) for f in
-                 ("memory_hits", "disk_hits", "boots", "publishes",
-                  "seed_deltas")}
-    print(f"snapshot tiers: {tiers['memory_hits']} memory hits, "
-          f"{tiers['disk_hits']} disk hits, "
-          f"{tiers['boots']} level-1 boots, "
-          f"{tiers['publishes']} publishes, "
-          f"{tiers['seed_deltas']} seed deltas", flush=True)
 
 
 def _load_or_run(args: argparse.Namespace) -> SuiteResult:
@@ -280,7 +233,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     else:
         for bench_id in suite.ids():
             print(f"{bench_id:<22} {suite.get(bench_id).total_refs:>15,} refs")
-    _print_snapshot_stats()
     return 0
 
 
@@ -311,7 +263,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif not args.out:
         for (bench_id, variant), run in result.runs.items():
             print(f"{bench_id:<22} [{variant}] {run.total_refs:>15,} refs")
-    _print_snapshot_stats()
     return 0
 
 
@@ -359,10 +310,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     except AnalysisError:
         # Neither headline plan was swept: the report stands on its own
         # and there is nothing to assert.
-        _print_snapshot_stats()
         return 0
     print(render_claims(claims))
-    _print_snapshot_stats()
     return 0 if all(c.holds for c in claims) else 1
 
 
@@ -451,7 +400,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"saved fleet result ({result.devices_done} devices, "
               f"{result.units_total} units) to {args.out}")
     print(render_fleet_report(result))
-    _print_snapshot_stats()
     return 0
 
 
@@ -514,65 +462,6 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
     print(f"{verb}: {report.removed_entries} entries "
           f"({report.removed_bytes:,} bytes)")
     print(f"kept:    {report.kept_entries} entries "
-          f"({report.kept_bytes:,} bytes)")
-    return 0
-
-
-def cmd_snapshot_stats(args: argparse.Namespace) -> int:
-    """Build the boot template(s) for the given config and time a restore.
-
-    No workload runs: this inspects the snapshot mechanism itself — the
-    key, template size, shared-table size, and capture/restore cost —
-    for each requested benchmark under the global config flags.
-    """
-    import time as _time
-
-    from repro.core import enable_snapshots, prime_snapshot
-
-    store = enable_snapshots()
-    cfg = _config(args)
-    ids = args.bench or ["music.mp3.view"]
-    for bench_id in ids:
-        key = prime_snapshot(bench_id, cfg)
-        blob_bytes, shared = store.describe(key)
-        t0 = _time.perf_counter()
-        store.restore(key)
-        restore_ms = 1e3 * (_time.perf_counter() - t0)
-        print(f"{bench_id}:")
-        print(f"  key:      {key}")
-        print(f"  template: {blob_bytes:,} bytes + {shared} shared objects")
-        print(f"  capture:  {store.capture_ms:.2f} ms (boot excluded)")
-        print(f"  restore:  {restore_ms:.2f} ms")
-        store.capture_ms = 0.0
-    stats = store.stats()
-    print(f"store: {stats.templates} templates, "
-          f"{stats.blob_bytes:,} bytes total")
-    print(f"tiers: {stats.memory_hits} memory hits, "
-          f"{stats.disk_hits} disk hits, {stats.boots} level-1 boots, "
-          f"{stats.publishes} publishes, {stats.seed_deltas} seed deltas")
-    return 0
-
-
-def cmd_snapshot_gc(args: argparse.Namespace) -> int:
-    from repro.core import snapshot_gc
-
-    # Mirrors cache gc: a mistyped path must error, not mint an empty
-    # directory and report a successful no-op.
-    if not os.path.isdir(args.dir):
-        raise ConfigError(f"no snapshot directory at {args.dir!r}")
-    if args.max_bytes is None and args.max_age is None \
-            and args.max_entries is None:
-        raise ConfigError(
-            "snapshot gc needs --max-bytes, --max-age and/or --max-entries"
-        )
-    report = snapshot_gc(args.dir, max_bytes=args.max_bytes,
-                         max_age=args.max_age,
-                         max_entries=args.max_entries, dry_run=args.dry_run)
-    verb = "would evict" if args.dry_run else "evicted"
-    print(f"store:   {os.path.abspath(args.dir)}")
-    print(f"{verb}: {report.removed_entries} templates "
-          f"({report.removed_bytes:,} bytes)")
-    print(f"kept:    {report.kept_entries} templates "
           f"({report.kept_bytes:,} bytes)")
     return 0
 
@@ -817,38 +706,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="report what would be evicted without deleting")
     p_gc.set_defaults(func=cmd_cache_gc)
 
-    p_snap = sub.add_parser(
-        "snapshot", help="boot-snapshot (warm template) inspection"
-    )
-    snap_sub = p_snap.add_subparsers(dest="snapshot_command", required=True)
-    p_snap_stats = snap_sub.add_parser(
-        "stats", help="build a boot template and report key/size/timings"
-    )
-    p_snap_stats.add_argument("--bench", action="append", metavar="ID",
-                              help="benchmark to build the template for "
-                                   "(repeatable; default music.mp3.view)")
-    p_snap_stats.set_defaults(func=cmd_snapshot_stats)
-    p_snap_gc = snap_sub.add_parser(
-        "gc", help="evict on-disk boot templates oldest-first to fit "
-                   "size/age bounds"
-    )
-    p_snap_gc.add_argument("dir", metavar="DIR",
-                           help="snapshot directory (as passed to "
-                                "--snapshot-dir)")
-    p_snap_gc.add_argument("--max-bytes", type=int, metavar="N",
-                           help="evict oldest templates until the store "
-                                "fits N bytes")
-    p_snap_gc.add_argument("--max-age", type=float, metavar="SECONDS",
-                           help="evict templates written more than "
-                                "SECONDS ago")
-    p_snap_gc.add_argument("--max-entries", type=int, metavar="N",
-                           help="evict oldest templates until at most N "
-                                "remain")
-    p_snap_gc.add_argument("--dry-run", action="store_true",
-                           help="report what would be evicted without "
-                                "deleting")
-    p_snap_gc.set_defaults(func=cmd_snapshot_gc)
-
     for name, func, extra in (
         ("figures", cmd_figures, True),
         ("table1", cmd_table1, False),
@@ -875,16 +732,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    snapshot_dir = getattr(args, "snapshot_dir", None)
-    if snapshot_dir or getattr(args, "snapshots", False):
-        from repro.core import enable_snapshots
-
-        # Global switch: any command that may simulate (suite, sweep,
-        # artifact commands without --results) gets the fast path, and
-        # spawned pool workers inherit it via the environment.  With
-        # --snapshot-dir the templates are also shared with every pool
-        # worker (and every later run) through the directory.
-        enable_snapshots(root=snapshot_dir)
     try:
         return args.func(args)
     except ReproError as exc:

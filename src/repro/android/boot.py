@@ -124,9 +124,9 @@ def boot_android(system: "System", jit_enabled: bool = True) -> AndroidStack:
 
 # ---------------------------------------------------------------------------
 #
-# Boot-time behaviour factories are module-level classes (not closures) so
-# a freshly-booted, never-run system — the boot snapshot template — holds
-# only picklable state.
+# Boot-time behaviour factories: callables holding the state their thread
+# needs, bound lazily by the kernel and called at the thread's first
+# dispatch (see Kernel._bind_behavior).
 
 
 class _DaemonMain:

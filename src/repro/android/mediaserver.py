@@ -242,7 +242,7 @@ class MediaServerHandle:
 
 
 class _MediaserverMain:
-    """mediaserver's main loop (picklable behaviour factory)."""
+    """mediaserver's main loop (behaviour factory)."""
 
     def __init__(self, proc: "Process") -> None:
         self.proc = proc

@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "parse_mix",
         "run_fleet",
     ),
-    "repro.core.execute": ("prime_snapshot",),
     "repro.core.results": (
         "CacheStats",
         "GcReport",
@@ -55,18 +54,6 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "FLEET_METRICS",
         "MetricSketch",
         "SketchSet",
-    ),
-    "repro.core.snapshots": (
-        "SnapshotStats",
-        "SnapshotStore",
-        "aggregate_disk_stats",
-        "apply_seed_delta",
-        "disable_snapshots",
-        "enable_snapshots",
-        "level1_key",
-        "snapshot_gc",
-        "snapshot_key",
-        "snapshots_enabled",
     ),
     "repro.core.spec": (
         "BenchmarkSpec",

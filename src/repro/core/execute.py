@@ -20,11 +20,8 @@ import repro.apps  # noqa: F401
 import repro.apps.spec  # noqa: F401
 from repro.android.app import start_activity
 from repro.android.boot import boot_android
-from repro.calibration import use_calibration
-from repro.core import snapshots
 from repro.core.results import RunResult
 from repro.core.runner import bench_seed
-from repro.core.suite import get_benchmark
 from repro.faults import runtime as fault_runtime
 from repro.faults.injector import FaultInjector
 from repro.kernel.layout import truncate_comm
@@ -35,38 +32,11 @@ if TYPE_CHECKING:
     from repro.core.spec import BenchmarkSpec
 
 
-def _prepared_system(spec: BenchmarkSpec, cfg: RunConfig):
-    """``(system, stack, model)`` at the pre-settle point — fresh or
-    restored.
-
-    The checkpoint sits after boot *and* after workload-model
-    construction (plus ``setup_files`` for Android benchmarks, i.e. the
-    app install): everything up to here is a pure function of the
-    snapshot key — ``spec.factory`` takes only the bench seed, and the
-    install mutates the system deterministically — while everything
-    after (settle, window, workload) depends on the excluded
-    duration/settle knobs and runs fresh every time.
-
-    With snapshots off this builds from scratch.  With a store enabled,
-    the lookup walks the tiers: a full level-2 template (memory, then
-    the shared disk directory), then a seed-independent level-1 template
-    with the bench seed folded back in by ``apply_seed_delta`` and the
-    model rebuilt from its factory, and only when both miss does the
-    stack actually boot — under a per-key lock so concurrent workers
-    sharing a disk store boot each level-1 template once per host.  The
-    miss run captures both levels and continues on the freshly built
-    graph (it pays serialises, never a restore).
-    """
-    store = snapshots.active_store()
-    if store is None:
-        return _build_fresh(spec, cfg)
-    try:
-        return _prepared_with_store(store, spec, cfg)
-    finally:
-        store.flush_worker_stats()
-
-
 def _build_fresh(spec: BenchmarkSpec, cfg: RunConfig):
+    """``(system, stack, model)`` at the pre-settle point: booted, with
+    the workload model built (and, for Android benchmarks, its files
+    installed).  Everything up to here depends only on the bench seed
+    and the machine config; settle, window and workload run after."""
     seed = bench_seed(spec.bench_id, cfg)
     system = System(seed=seed, cpus=cfg.cpus, cpu_profile=cfg.cpu_profile)
     stack = boot_android(system, jit_enabled=cfg.jit_enabled)
@@ -76,58 +46,14 @@ def _build_fresh(spec: BenchmarkSpec, cfg: RunConfig):
     return system, stack, model
 
 
-def _prepared_with_store(
-    store: "snapshots.SnapshotStore", spec: BenchmarkSpec, cfg: RunConfig
-):
-    key = snapshots.snapshot_key(spec.bench_id, cfg)
-    restored = store.restore(key)
-    if restored is not None:
-        return restored
-    seed = bench_seed(spec.bench_id, cfg)
-    l1_key = snapshots.level1_key(cfg)
-    derived = store.derive(key, l1_key, seed, spec.bench_id)
-    if derived is not None:
-        return derived
-    with store.boot_lock(l1_key):
-        # Another worker may have published the level-1 template while
-        # this one waited on the lock; re-check before paying the boot.
-        derived = store.derive(key, l1_key, seed, spec.bench_id)
-        if derived is not None:
-            return derived
-        system = System(seed=seed, cpus=cfg.cpus, cpu_profile=cfg.cpu_profile)
-        stack = boot_android(system, jit_enabled=cfg.jit_enabled)
-        store.capture_level1(l1_key, system, stack)
-        model = spec.factory(seed)
-        if spec.is_android:
-            model.setup_files(system)
-        store.capture(key, (system, stack, model))
-    return system, stack, model
-
-
-def prime_snapshot(bench_id: str, cfg: RunConfig) -> str:
-    """Build (or reuse) the boot template for this config without
-    running any workload; returns the template key.
-
-    Installs the config's calibration override exactly as a real run
-    would, so the captured boot is the one runs will restore.
-    """
-    spec = get_benchmark(bench_id)
-    if cfg.calibration is not None:
-        with use_calibration(cfg.calibration):
-            _prepared_system(spec, cfg)
-    else:
-        _prepared_system(spec, cfg)
-    return snapshots.snapshot_key(bench_id, cfg)
-
-
 def run_spec(spec: BenchmarkSpec, cfg: RunConfig) -> RunResult:
     """Run one benchmark on a prepared system and census the window."""
     seed = bench_seed(spec.bench_id, cfg)
-    system, stack, model = _prepared_system(spec, cfg)
+    system, stack, model = _build_fresh(spec, cfg)
 
-    # Settle and the pre-settle checkpoint stay fault-free: the injector
-    # arms at the window edge, so boot-snapshot templates are shared
-    # across plans and faults only perturb the measured interval.
+    # Settle stays fault-free: the injector arms at the window edge, so
+    # a faulted run opens its window from the same state as its
+    # fault-free baseline and faults only perturb the measured interval.
     system.run_for(cfg.settle_ticks)
     system.profiler.reset()
     window = _open_window(system)

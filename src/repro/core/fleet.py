@@ -33,7 +33,6 @@ from repro.calibration import (
     calibration_preset,
     profile_cpu_count,
 )
-from repro.core import snapshots
 from repro.core.results import ResultCache, RunResult, write_atomic
 from repro.core.runner import Reducer, RunConfig, execute_with_cache
 from repro.core.stats import (
@@ -42,7 +41,6 @@ from repro.core.stats import (
     SketchSet,
 )
 from repro.core.suite import AGAVE_IDS, get_benchmark
-from repro.core.sweep import snapshot_execution_order
 from repro.errors import AnalysisError, ConfigError
 from repro.faults.plan import fault_plan
 
@@ -51,8 +49,8 @@ if TYPE_CHECKING:
 
 #: How many distinct boot seeds a fleet draws from by default.  Sampling
 #: seeds from a small pool (not one per device) is what lets thousands
-#: of devices share boot snapshots and cache entries: device diversity
-#: comes from the *cross product* of mixes, not from unbounded seeds.
+#: of devices share cache entries: device diversity comes from the
+#: *cross product* of mixes, not from unbounded seeds.
 DEFAULT_SEED_CHOICES = 8
 
 
@@ -252,7 +250,7 @@ class FleetSpec:
             if scale != 1.0:
                 cal = cal.scaled(scale)
             # The fitted default canonicalises to None, sharing cache
-            # keys (and snapshot templates) with non-fleet runs.
+            # keys with non-fleet runs.
             cfg = replace(
                 cfg, calibration=None if cal == Calibration() else cal
             )
@@ -533,13 +531,9 @@ def run_fleet(
     The full fleet is sampled and deduplicated *before* the backend
     plans ownership, so a sharded backend partitions identical unit
     lists everywhere and devices never overlap across shards.  Units
-    execute snapshot-grouped when boot snapshots are on — by the
-    seed-independent level-1 boot key first, then the full template
-    key, so the whole seed pool of one device configuration runs off a
-    single boot instead of one per seed — and stream through
-    :func:`~repro.core.runner.execute_with_cache` with retention off,
-    and fold into sketches as they complete — per-device results are
-    never held.
+    stream through :func:`~repro.core.runner.execute_with_cache` with
+    retention off and fold into sketches as they complete — per-device
+    results are never held.
     """
     from repro.core.backends import SerialBackend
 
@@ -550,19 +544,13 @@ def run_fleet(
     population = spec.population(fleet)
     del fleet  # the census is folded; no per-device objects persist
     owned = backend.plan_batch(units)
-
-    order = list(range(len(owned)))
-    if snapshots.snapshots_enabled():
-        order = snapshot_execution_order(owned)
-    executed = [owned[index] for index in order]
-
     reducer = FleetReducer(spec, units_total=len(units), population=population)
     execute_with_cache(
         backend,
         cache,
-        [(unit.bench_id, unit.config) for unit in executed],
-        labels=[unit.label for unit in executed],
-        units=executed,
+        [(unit.bench_id, unit.config) for unit in owned],
+        labels=[unit.label for unit in owned],
+        units=owned,
         progress=progress,
         reducer=reducer,
         retain_results=False,

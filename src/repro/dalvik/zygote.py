@@ -43,11 +43,7 @@ PRELOAD_CLASSES = 1_800
 
 
 class _Specialised:
-    """Post-fork specialisation prologue + the app's main behaviour.
-
-    Module-level (not a closure) so a forked-but-not-yet-run child —
-    exactly what a boot snapshot holds — pickles cleanly.
-    """
+    """Post-fork specialisation prologue + the app's main behaviour."""
 
     def __init__(
         self,

@@ -1,8 +1,8 @@
 """The fault injector: turns a :class:`FaultPlan` into engine events.
 
-Armed by the runner after the pre-settle checkpoint and the settle
-window, so faults only ever fire inside the measurement window and
-boot-snapshot templates stay fault-free.  Every probabilistic draw comes
+Armed by the runner after the settle window, so faults only ever fire
+inside the measurement window and a faulted run settles exactly as its
+fault-free baseline does.  Every probabilistic draw comes
 from an RNG stream derived from ``bench_seed`` mixed with a channel
 name, so the fault sequence is a pure function of ``(bench_id,
 RunConfig)`` — the same determinism contract the backends and caches

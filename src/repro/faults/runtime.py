@@ -2,8 +2,8 @@
 
 Mirrors the ``use_calibration`` idiom: one simulation runs per process
 at a time, so the active injector is a module global the engine and
-binder consult instead of a new attribute on pickled objects (keeping
-boot-snapshot templates byte-identical and shareable across plans).
+binder consult instead of a reference threaded through every simulated
+object that might fire a fault.
 Import cost matters — this module must stay free of repro imports so
 ``sim.engine`` and ``android.binder`` can bind :func:`active_injector`
 without cycles.

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 
 class AtaWorker:
-    """The ``ata_sff/0`` service loop (picklable behaviour factory)."""
+    """The ``ata_sff/0`` service loop (behaviour factory)."""
 
     def __init__(self, kernel: "Kernel", storage: StorageDevice) -> None:
         self.kernel = kernel
@@ -54,7 +54,7 @@ def ata_worker(kernel: "Kernel", storage: StorageDevice) -> AtaWorker:
 
 
 class PeriodicHousekeeper:
-    """A quiet periodic kthread loop (picklable behaviour factory)."""
+    """A quiet periodic kthread loop (behaviour factory)."""
 
     def __init__(
         self, period_ticks: int, entry: str, insts: int, data_words: int

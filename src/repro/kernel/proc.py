@@ -253,8 +253,7 @@ class Kernel:
             # Defer: the engine calls the factory at first dispatch.
             # Generator construction has no side effects (the body only
             # runs at the first ``next``), so lazy binding is observably
-            # identical — and a pre-run snapshot holds only picklable
-            # factories, never generator frames.
+            # identical to eager binding.
             task.behavior_factory = behavior
         else:
             task.behavior = behavior

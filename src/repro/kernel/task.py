@@ -80,10 +80,8 @@ class Task:
         self.process = process
         self.state = TaskState.NEW
         self.behavior = behavior
-        #: Deferred behaviour: a picklable callable the engine turns into
-        #: the generator at first dispatch.  Keeping the factory (not the
-        #: generator) until then means a system snapshotted before it runs
-        #: holds no live generator frames and stays picklable.
+        #: Deferred behaviour: a callable the engine turns into the
+        #: generator at first dispatch.
         self.behavior_factory: "Callable[[Task], Iterator[Op]] | None" = None
         self.stack_vma = stack_vma
         self.sched = sched
@@ -110,30 +108,6 @@ class Task:
         self.quantum_used: int = 0
 
     # ------------------------------------------------------------------
-
-    def __getstate__(self) -> tuple:
-        # Compact tuple state, ordered exactly like ``__slots__``: boot
-        # snapshots carry every task of the booted roster, so per-slot
-        # dict state would be measurably slower to restore.  Unrolled
-        # (not a getattr loop) — restore cost is on the snapshot fast path.
-        return (
-            self.tid, self.name, self.process, self.state,
-            self.behavior, self.behavior_factory, self.stack_vma,
-            self.sched, self.waitq, self.wake_deadline,
-            self.spawn_time, self.exit_time, self.cpu_ticks,
-            self.affinity, self.last_cpu, self.nice, self.weight,
-            self.vruntime, self.quantum_used,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.tid, self.name, self.process, self.state,
-            self.behavior, self.behavior_factory, self.stack_vma,
-            self.sched, self.waitq, self.wake_deadline,
-            self.spawn_time, self.exit_time, self.cpu_ticks,
-            self.affinity, self.last_cpu, self.nice, self.weight,
-            self.vruntime, self.quantum_used,
-        ) = state
 
     @property
     def alive(self) -> bool:

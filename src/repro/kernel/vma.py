@@ -84,21 +84,6 @@ class VMA:
                 f"({self.start:#x}..{self.end:#x})"
             )
 
-    def __getstate__(self) -> tuple:
-        # Tuple state (not the default per-slot dict): VMAs are the most
-        # numerous objects in a boot snapshot, and the compact form keeps
-        # pickling/unpickling on the fast path.
-        return (
-            self.start, self.end, self.label, self.kind,
-            self.perms, self.shared, self.tag, self.cursor,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.start, self.end, self.label, self.kind,
-            self.perms, self.shared, self.tag, self.cursor,
-        ) = state
-
     @property
     def size(self) -> int:
         """Size of the mapping in bytes."""

@@ -35,23 +35,6 @@ class Symbol:
             raise ValueError(f"symbol {self.name!r} has non-positive insts")
 
 
-# Compact pickle state (see JavaMethod in dalvik/method.py for why this
-# is assigned post-class for frozen slotted dataclasses).
-def _symbol_getstate(self: Symbol) -> tuple:
-    return (self.name, self.offset, self.insts)
-
-
-def _symbol_setstate(self: Symbol, state: tuple) -> None:
-    _set = object.__setattr__
-    _set(self, "name", state[0])
-    _set(self, "offset", state[1])
-    _set(self, "insts", state[2])
-
-
-Symbol.__getstate__ = _symbol_getstate  # type: ignore[method-assign]
-Symbol.__setstate__ = _symbol_setstate  # type: ignore[attr-defined]
-
-
 class SharedObject:
     """An ELF image: name, segment sizes, and a symbol table.
 
@@ -112,14 +95,6 @@ class MappedObject:
         self.so = so
         self.text_vma = text_vma
         self.data_vma = data_vma
-
-    def __getstate__(self) -> tuple:
-        # Compact tuple state: one MappedObject exists per (process, lib)
-        # pair, so boot snapshots carry hundreds of them.
-        return (self.so, self.text_vma, self.data_vma)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.so, self.text_vma, self.data_vma = state
 
     @property
     def text_base(self) -> int:

@@ -38,6 +38,11 @@ FAST = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200))
 #: scheduler, asymmetric core speeds) under the same purity contract.
 FAST_BIGLITTLE = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
                            cpus=4, cpu_profile="2+2")
+#: The symmetric multi-core row: 4 equal cores (round-robin policy).
+FAST_CPUS4 = RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
+                       cpus=4)
+#: The suite matrix's configs: single-core and symmetric 4-core.
+SUITE_CONFIGS = {"cpus1": FAST, "cpus4": FAST_CPUS4}
 SUITE_IDS = ["countdown.main", "music.mp3.view", "999.specrand"]
 #: A multi-axis grid: 2 benchmarks x (jit on/off) x (seed 1/2) = 8 cells.
 SWEEP_SPEC = SweepSpec(
@@ -81,13 +86,13 @@ def _sweep_bytes(sweep, path) -> bytes:
     return path.read_bytes()
 
 
-def _warm_suite_cache(tmp_path, warmth: str) -> str | None:
+def _warm_suite_cache(tmp_path, warmth: str, cfg: RunConfig) -> str | None:
     """A cache directory in the requested warmth state (None = no cache)."""
     if warmth == "cold":
         return None
     root = str(tmp_path / "cache")
     ids = SUITE_IDS if warmth == "prewarmed" else SUITE_IDS[:1]
-    SuiteRunner(FAST, cache=ResultCache(root)).run_suite(ids)
+    SuiteRunner(cfg, cache=ResultCache(root)).run_suite(ids)
     return root
 
 
@@ -110,6 +115,16 @@ def serial_suite_bytes(tmp_path_factory) -> bytes:
 
 
 @pytest.fixture(scope="module")
+def serial_suite_refs(serial_suite_bytes, tmp_path_factory) -> dict:
+    """The serial backend's saved SuiteResult per ``SUITE_CONFIGS`` label."""
+    cpus4 = SuiteRunner(
+        FAST_CPUS4, backend=SerialBackend()
+    ).run_suite(SUITE_IDS)
+    path = tmp_path_factory.mktemp("ref") / "cpus4.json"
+    return {"cpus1": serial_suite_bytes, "cpus4": _suite_bytes(cpus4, path)}
+
+
+@pytest.fixture(scope="module")
 def serial_sweep_bytes(tmp_path_factory) -> bytes:
     """The reference: the serial backend's saved SweepResult."""
     sweep = SweepRunner(backend=SerialBackend()).run(SWEEP_SPEC)
@@ -123,17 +138,20 @@ def serial_sweep_bytes(tmp_path_factory) -> bytes:
 class TestSuiteMatrix:
     @pytest.mark.parametrize("warmth", WARMTH)
     @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("label", sorted(SUITE_CONFIGS))
     def test_byte_identical_across_backends_and_cache_states(
-        self, name, warmth, serial_suite_bytes, tmp_path
+        self, label, name, warmth, serial_suite_refs, tmp_path
     ):
-        cache_dir = _warm_suite_cache(tmp_path, warmth)
+        cfg = SUITE_CONFIGS[label]
+        cache_dir = _warm_suite_cache(tmp_path, warmth, cfg)
         backend = _make(name)
         suite = SuiteRunner(
-            FAST,
+            cfg,
             backend=backend,
             cache=ResultCache(cache_dir) if cache_dir else None,
         ).run_suite(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == serial_suite_bytes
+        assert _suite_bytes(suite, tmp_path / "out.json") == \
+            serial_suite_refs[label]
         if warmth == "prewarmed":
             assert backend.executed == []        # zero redundant simulations
         elif warmth == "partial":
@@ -507,189 +525,11 @@ class TestStreamingOverlap:
 
 
 # ----------------------------------------------------------------------
-# (f) Snapshot matrix: the boot-restore fast path must be invisible —
-# byte-identical output through every backend, core count and profile
-
-
-from repro.core import disable_snapshots, enable_snapshots
-
-#: The snapshot differential row: symmetric single-core, symmetric
-#: 4-core (round-robin policy) and the 2+2 big.LITTLE machine (CFS).
-SNAPSHOT_CONFIGS = {
-    "cpus1": FAST,
-    "cpus4": RunConfig(duration_ticks=millis(400), settle_ticks=millis(200),
-                       cpus=4),
-    "biglittle": FAST_BIGLITTLE,
-}
-
-
-@pytest.fixture(scope="module")
-def snapshot_refs(tmp_path_factory):
-    """Reference bytes per config, produced with snapshots OFF."""
-    disable_snapshots()
-    refs = {}
-    for label, cfg in SNAPSHOT_CONFIGS.items():
-        suite = SuiteRunner(cfg, backend=SerialBackend()).run_suite(SUITE_IDS)
-        refs[label] = _suite_bytes(
-            suite, tmp_path_factory.mktemp("snapref") / f"{label}.json"
-        )
-    return refs
-
-
-class TestSnapshotMatrix:
-    @pytest.fixture(autouse=True)
-    def _fresh_store(self):
-        """Each cell starts with a cold store and leaves snapshots off.
-
-        The process backend inherits the fast path through the
-        ``REPRO_SNAPSHOTS`` environment flag its spawned workers read,
-        so that row also covers per-worker store seeding.
-        """
-        disable_snapshots()
-        yield
-        disable_snapshots()
-
-    @pytest.mark.parametrize("label", sorted(SNAPSHOT_CONFIGS))
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_suite_byte_identical_with_snapshots(
-        self, name, label, snapshot_refs, tmp_path
-    ):
-        enable_snapshots()
-        suite = SuiteRunner(
-            SNAPSHOT_CONFIGS[label], backend=_make(name)
-        ).run_suite(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs[label]
-
-    def test_warm_run_still_byte_identical(self, snapshot_refs, tmp_path):
-        """Second suite through an already-warm store: every boot is a
-        restore, and the bytes still match the snapshot-less reference."""
-        store = enable_snapshots()
-        SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.misses == len(SUITE_IDS) and store.hits == 0
-        suite = SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.hits == len(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-
-    def test_duration_sweep_shares_one_template_per_bench(self, tmp_path):
-        """Duration-only axes map every cell of one benchmark to a single
-        template: the sweep driver groups execution by snapshot key, and
-        the store reports one miss plus N-1 hits per benchmark while the
-        saved bytes stay equal to the snapshot-less reference."""
-        spec = SweepSpec(
-            benches=("countdown.main", "999.specrand"),
-            axes=(SweepAxis("duration", (0.25, 0.5, 1.0)),),
-            base=FAST,
-        )
-        disable_snapshots()
-        ref = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(spec), tmp_path / "r.json"
-        )
-        store = enable_snapshots()
-        out = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(spec), tmp_path / "o.json"
-        )
-        assert out == ref
-        assert len(store) == 2                   # one template per benchmark
-        assert store.misses == 2 and store.hits == 4
-
-
-# ----------------------------------------------------------------------
-# (g) Shared-disk-store matrix: a REPRO_SNAPSHOTS directory shared by
-# every worker process must stay invisible in the bytes while cutting
-# boots to one per level-1 template per host — not workers x templates.
-
-
-from repro.core.snapshots import aggregate_disk_stats  # noqa: E402
-
-#: A boot-heavy seed-axis grid: every cell is a distinct level-2 key,
-#: but all four share one seed-independent level-1 boot.
-SEED_SWEEP_SPEC = SweepSpec(
-    benches=("999.specrand",),
-    axes=(SweepAxis("seed", (1, 2, 3, 4)),),
-    base=FAST,
-)
-
-
-class TestSnapshotDiskMatrix:
-    @pytest.fixture(autouse=True)
-    def _snapshots_off(self):
-        disable_snapshots()
-        yield
-        disable_snapshots()
-
-    def _prepopulate(self, root: str) -> None:
-        """Fill the disk store from a separate (serial) session, as a
-        prior run on the same host would have."""
-        enable_snapshots(root=root)
-        SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        disable_snapshots()
-
-    @pytest.mark.parametrize("warmth", ("cold", "prepopulated"))
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_suite_byte_identical_through_disk_store(
-        self, name, warmth, snapshot_refs, tmp_path
-    ):
-        """Every backend, against a cold and a pre-populated shared
-        directory, reproduces the snapshot-less reference bytes."""
-        root = str(tmp_path / "snapstore")
-        if warmth == "prepopulated":
-            self._prepopulate(root)
-        enable_snapshots(root=root)
-        suite = SuiteRunner(FAST, backend=_make(name)).run_suite(SUITE_IDS)
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-        # The whole suite shares one boot-relevant config, hence one
-        # level-1 template: exactly one boot ever happens against this
-        # directory — by whichever process got there first — and a
-        # pre-populated store adds zero more.
-        assert aggregate_disk_stats(root)["boots"] == 1
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_seed_sweep_boots_once_not_per_worker(self, name, tmp_path):
-        """The seed axis defeats level-2 sharing (each seed is its own
-        template) but not the disk store's level-1 tier: a multi-worker
-        sweep still boots exactly once per host, and twice the workers
-        do not mean twice the boots."""
-        disable_snapshots()
-        ref = _sweep_bytes(
-            SweepRunner(backend=SerialBackend()).run(SEED_SWEEP_SPEC),
-            tmp_path / "ref.json",
-        )
-        root = str(tmp_path / "snapstore")
-        enable_snapshots(root=root)
-        out = _sweep_bytes(
-            SweepRunner(backend=_make(name)).run(SEED_SWEEP_SPEC),
-            tmp_path / "out.json",
-        )
-        assert out == ref
-        stats = aggregate_disk_stats(root)
-        assert stats["boots"] == 1               # == level-1 templates
-        assert stats["seed_deltas"] >= len(SEED_SWEEP_SPEC.axes[0].values) - 1
-
-    def test_second_session_restores_from_disk(
-        self, snapshot_refs, tmp_path
-    ):
-        """A later process (fresh store, same directory) serves every
-        template from disk: zero boots, nonzero disk hits, same bytes."""
-        root = str(tmp_path / "snapstore")
-        self._prepopulate(root)
-        store = enable_snapshots(root=root)
-        suite = SuiteRunner(FAST, backend=SerialBackend()).run_suite(SUITE_IDS)
-        assert store.boots == 0
-        assert store.disk_hits >= 1
-        assert aggregate_disk_stats(root)["boots"] == 1
-        assert _suite_bytes(suite, tmp_path / "out.json") == \
-            snapshot_refs["cpus1"]
-
-
-# ----------------------------------------------------------------------
-# (h) Fault matrix: an armed fault plan is part of the purity contract.
+# (f) Fault matrix: an armed fault plan is part of the purity contract.
 # Faults draw from RNG streams derived from the bench seed, so a run is
 # still a pure function of (bench_id, RunConfig) — the same plan must
-# serialise byte-identically through every backend, cache state, shard
-# merge, and the snapshot restore path.
+# serialise byte-identically through every backend, cache state and
+# shard merge.
 
 
 from repro.faults import fault_plan  # noqa: E402
@@ -763,28 +603,6 @@ class TestFaultMatrix:
         assert _sweep_bytes(merged, tmp_path / "out.json") == \
             serial_fault_sweep_bytes
 
-    def test_faulted_suite_through_snapshot_restore(
-        self, serial_faulted_suite_bytes, tmp_path
-    ):
-        """Faults fire inside the measurement window, after the settle
-        checkpoint, so a restored boot template replays them exactly:
-        the all-restores second session reproduces the reference bytes."""
-        disable_snapshots()
-        try:
-            store = enable_snapshots()
-            SuiteRunner(
-                FAST_FAULTED, backend=SerialBackend()
-            ).run_suite(SUITE_IDS)
-            assert store.misses == len(SUITE_IDS) and store.hits == 0
-            suite = SuiteRunner(
-                FAST_FAULTED, backend=SerialBackend()
-            ).run_suite(SUITE_IDS)
-            assert store.hits == len(SUITE_IDS)
-            assert _suite_bytes(suite, tmp_path / "out.json") == \
-                serial_faulted_suite_bytes
-        finally:
-            disable_snapshots()
-
     def test_fault_cells_really_differ(self):
         """The matrix is not vacuous: a chaos cell diverges from its
         baseline and reports the faults it actually fired."""
@@ -795,3 +613,109 @@ class TestFaultMatrix:
             assert base.fault_counters == {}
             assert sum(chaos.fault_counters.values()) > 0
             assert str(base.to_json_dict()) != str(chaos.to_json_dict())
+
+
+# ----------------------------------------------------------------------
+# (g) Boot-sharing axes: grids whose cells differ only in the window
+# (duration) or only in the seed.  Sweeps and fleets run their cells in
+# plain grid order through every backend; these rows pin that such
+# grids still serialise byte-identically and that a partially warm
+# cache sends exactly the cold cells, in grid order, to the backend.
+
+
+#: One benchmark per kind (Android, SPEC) on each axis.
+BOOT_AXIS_SWEEPS = {
+    "duration": SweepSpec(
+        benches=("countdown.main", "999.specrand"),
+        axes=(SweepAxis("duration", (0.5, 1.0, 2.0)),),
+        base=FAST,
+    ),
+    "seed": SweepSpec(
+        benches=("music.mp3.view", "999.specrand"),
+        axes=(SweepAxis("seed", (1, 2, 3, 4)),),
+        base=FAST,
+    ),
+}
+
+
+def _warm_boot_axis_cache(tmp_path, label: str, warmth: str) -> str | None:
+    if warmth == "cold":
+        return None
+    root = str(tmp_path / "cache")
+    spec = BOOT_AXIS_SWEEPS[label]
+    if warmth == "partial":
+        spec = SweepSpec(benches=spec.benches[:1], axes=spec.axes,
+                         base=spec.base)
+    SweepRunner(cache=ResultCache(root)).run(spec)
+    return root
+
+
+@pytest.fixture(scope="module")
+def serial_boot_axis_refs(tmp_path_factory) -> dict:
+    """The serial backend's saved SweepResult per ``BOOT_AXIS_SWEEPS``
+    label."""
+    refs = {}
+    for label, spec in BOOT_AXIS_SWEEPS.items():
+        sweep = SweepRunner(backend=SerialBackend()).run(spec)
+        refs[label] = _sweep_bytes(
+            sweep, tmp_path_factory.mktemp("ref") / f"{label}.json"
+        )
+    return refs
+
+
+class TestBootAxisSweepMatrix:
+    @pytest.mark.parametrize("warmth", WARMTH)
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("label", sorted(BOOT_AXIS_SWEEPS))
+    def test_byte_identical_across_backends_and_cache_states(
+        self, label, name, warmth, serial_boot_axis_refs, tmp_path
+    ):
+        spec = BOOT_AXIS_SWEEPS[label]
+        cache_dir = _warm_boot_axis_cache(tmp_path, label, warmth)
+        backend = _make(name)
+        sweep = SweepRunner(
+            backend=backend,
+            cache=ResultCache(cache_dir) if cache_dir else None,
+        ).run(spec)
+        assert _sweep_bytes(sweep, tmp_path / "out.json") == \
+            serial_boot_axis_refs[label]
+        cells = len(spec.axes[0].values)
+        if warmth == "prewarmed":
+            assert backend.executed == []
+        elif warmth == "partial":
+            assert backend.executed == [spec.benches[1]] * cells
+        elif name == "serial":
+            # Grid order: every cell of the first benchmark, then the
+            # second's.
+            assert backend.executed == [
+                bench for bench in spec.benches for _ in range(cells)
+            ]
+
+    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("label", sorted(BOOT_AXIS_SWEEPS))
+    def test_sharded_shards_merge_byte_identical(
+        self, label, inner, serial_boot_axis_refs, tmp_path
+    ):
+        shards = [
+            SweepRunner(
+                backend=ShardedBackend(k, 2, inner=_make(inner))
+            ).run(BOOT_AXIS_SWEEPS[label])
+            for k in (1, 2)
+        ]
+        merged = shards[0]
+        merged.merge(shards[1])
+        assert _sweep_bytes(merged, tmp_path / "out.json") == \
+            serial_boot_axis_refs[label]
+
+    @pytest.mark.parametrize("label", sorted(BOOT_AXIS_SWEEPS))
+    def test_cells_really_differ(self, label):
+        """The rows are not vacuous: every cell of a benchmark is a
+        distinct result."""
+        spec = BOOT_AXIS_SWEEPS[label]
+        sweep = SweepRunner(backend=SerialBackend()).run(spec)
+        for bench_id in spec.benches:
+            payloads = {
+                str(sweep.get(bench_id, variant).to_json_dict())
+                for variant in sweep.variants()
+            }
+            assert len(payloads) == len(spec.axes[0].values)

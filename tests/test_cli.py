@@ -72,3 +72,20 @@ def test_parser_global_flags():
     args = make_parser().parse_args(["--no-jit", "--seed", "7", "list"])
     assert args.no_jit
     assert args.seed == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--cache-revalidate", "--bench", "countdown.main"],
+    ["sweep", "--cache", "{cache}", "--cache-revalidate",
+     "--bench", "countdown.main"],
+    ["fleet", "--devices", "1", "--cache-revalidate"],
+])
+def test_cache_revalidate_without_cache_url_is_an_error(argv, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = [arg.replace("{cache}", str(cache)) for arg in argv]
+    assert main(["--duration", "0.5", "--settle-ms", "200", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "--cache-url" in captured.err
+    assert captured.out == ""           # nothing ran
+    assert not cache.exists()           # and no cache directory was made
