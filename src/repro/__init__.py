@@ -47,15 +47,13 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "AGAVE_IDS",
         "FIGURE_ORDER",
         "SPEC_IDS",
-        "AsyncBackend",
         "BenchmarkSpec",
         "ExecutionBackend",
-        "ProcessPoolBackend",
+        "PoolBackend",
         "ResultCache",
         "RunConfig",
         "RunResult",
         "SerialBackend",
-        "ShardedBackend",
         "SuiteResult",
         "SuiteRunner",
         "SweepAxis",

@@ -29,17 +29,19 @@ Usage (installed as ``agave-repro`` or ``python -m repro``)::
     python -m repro sweep --axis seed=1,2 --cache .local \\
         --cache-url http://cachehost:8750
 
-Execution flags (``--jobs``, ``--backend``, ``--window``, ``--cache``,
-``--progress``) apply wherever benchmarks may actually run: ``suite``,
-``sweep``, and any artifact command invoked without ``--results``.
-``--backend async`` overlaps result I/O (cache writes, progress) with
-in-flight simulations; its in-flight window adapts to observed result
-sizes unless pinned with ``--window``.  ``--cpus`` selects the simulated
-core count everywhere (``cpus=1`` stays byte-identical to the pre-SMP
-engine, hitting the same cache keys).  ``--shard`` is for ``suite`` and
-``sweep`` only — their outputs can be merged back together — never for
-figures/tables/claims/smp, which over a partial suite would be silently
-wrong.
+Execution flags (``--jobs``, ``--backend``, ``--cache``, ``--progress``)
+apply wherever benchmarks may actually run: ``suite``, ``sweep``,
+``faults``, ``fleet``, and any artifact command invoked without
+``--results``.  ``--jobs N`` with N > 1 runs on a pool of N worker
+processes (``--backend process`` and ``--backend async`` name the same
+pool), whose result I/O (cache writes, progress) overlaps in-flight
+simulations through an in-flight window that adapts to observed result
+sizes.  ``--cpus`` selects the simulated core count everywhere
+(``cpus=1`` stays byte-identical to the pre-SMP engine, hitting the
+same cache keys).  ``--shard`` is for ``suite``, ``sweep`` and
+``fleet`` only — their outputs can be merged back together — never for
+figures/tables/claims/smp/faults, which over a partial suite would be
+silently wrong.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from repro.core import (
     SuiteRunner,
     benchmarks,
     make_backend,
+    parse_shard,
 )
 from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.faults import fault_plan, plan_names
@@ -102,22 +105,20 @@ def _add_exec_flags(
     """Execution-backend knobs, shared by every command that may run.
 
     ``--shard`` is only offered where a partial result is meaningful
-    (``suite`` and ``sweep``, whose output files can be merged);
-    artifact commands would silently draw paper-level conclusions from
-    a fraction of the benchmarks.
+    (``suite``, ``sweep`` and ``fleet``, whose output files can be
+    merged); artifact commands would silently draw paper-level
+    conclusions from a fraction of the benchmarks.
     """
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (N>1 implies --backend process)")
+                        help="worker processes (N>1 runs on the process "
+                             "pool; serial takes no --jobs)")
     parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        help="execution backend (default: serial, or "
-                             "process when --jobs > 1)")
+                        help="execution backend: serial, or the process "
+                             "pool (process and async both name it; "
+                             "default: serial, or the pool when --jobs > 1)")
     if sharding:
         parser.add_argument("--shard", metavar="K/N",
                             help="run only the K-th of N deterministic shards")
-    parser.add_argument("--window", type=int, metavar="N",
-                        help="async backend: pin the in-flight window to N "
-                             "units (default: adaptive, sized from observed "
-                             "result sizes)")
     parser.add_argument("--cache", metavar="DIR",
                         help="content-addressed result cache directory")
     parser.add_argument("--cache-url", metavar="URL",
@@ -155,13 +156,18 @@ def _make_cache(args: argparse.Namespace):
                               revalidate=revalidate)
 
 
+def _shard(args: argparse.Namespace) -> "tuple[int, int] | None":
+    """The parsed ``--shard K/N`` (None on commands that do not take it)."""
+    text = getattr(args, "shard", None)
+    return parse_shard(text) if text else None
+
+
 def _make_runner(args: argparse.Namespace) -> SuiteRunner:
     return SuiteRunner(
         _config(args),
-        backend=make_backend(args.backend, jobs=args.jobs,
-                             shard=getattr(args, "shard", None),
-                             window=args.window),
+        backend=make_backend(args.backend, jobs=args.jobs),
         cache=_make_cache(args),
+        shard=_shard(args),
     )
 
 
@@ -245,10 +251,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ids = args.bench or [spec.bench_id for spec in benchmarks()]
     spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
     runner = SweepRunner(
-        backend=make_backend(args.backend, jobs=args.jobs,
-                             shard=getattr(args, "shard", None),
-                             window=args.window),
+        backend=make_backend(args.backend, jobs=args.jobs),
         cache=_make_cache(args),
+        shard=_shard(args),
     )
     result = runner.run(
         spec,
@@ -292,8 +297,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         ids = args.bench or ["vlc.mp4.view"]
         spec = SweepSpec(benches=tuple(ids), axes=axes, base=_config(args))
         runner = SweepRunner(
-            backend=make_backend(args.backend, jobs=args.jobs,
-                                 window=args.window),
+            backend=make_backend(args.backend, jobs=args.jobs),
             cache=_make_cache(args),
         )
         result = runner.run(
@@ -324,6 +328,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         parse_mix,
         run_fleet,
     )
+    from repro.core.runner import owned_by
 
     if args.merge:
         # Merge mode: no simulation — fold saved shard results together.
@@ -376,24 +381,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             else ((None, 1.0),)
         ),
     )
-    # A fleet is the streaming path par excellence: default to the async
-    # backend whenever parallelism is requested, so sketches fold in
-    # while later units still simulate.
-    backend_name = args.backend
-    if backend_name is None and args.jobs > 1:
-        backend_name = "async"
-    backend = make_backend(backend_name, jobs=args.jobs,
-                           shard=getattr(args, "shard", None),
-                           window=args.window)
+    backend = make_backend(args.backend, jobs=args.jobs)
+    shard = _shard(args)
     progress = None
     if args.progress:
-        units_total = len(backend.plan_batch(spec.units()))
+        units_total = len(owned_by(spec.units(), shard))
         progress = ProgressMeter(units_total, every=args.progress_every)
     result = run_fleet(
         spec,
         backend=backend,
         cache=_make_cache(args),
         progress=progress,
+        shard=shard,
     )
     if args.out:
         result.save(args.out)

@@ -9,19 +9,14 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "repro.core.backends": (
         "BACKEND_NAMES",
-        "AsyncBackend",
         "BackendError",
         "BatchProgress",
         "ExecutionBackend",
-        "ProcessPoolBackend",
+        "PoolBackend",
         "ProgressCallback",
         "SerialBackend",
-        "ShardedBackend",
-        "StreamingBackend",
         "WorkItem",
         "make_backend",
-        "parse_shard",
-        "shard_ids",
     ),
     "repro.core.fleet": (
         "DeviceProfile",
@@ -48,6 +43,8 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
         "bench_seed",
         "dedup_ids",
         "execute_one",
+        "parse_shard",
+        "shard_ids",
     ),
     "repro.core.stats": (
         "DEFAULT_SAMPLE_CAPACITY",

@@ -1,30 +1,30 @@
-"""Asynchronous (overlapped-I/O) execution: a streaming orchestrator
-feeding a process pool.
+"""Process-pool execution fed from a streaming orchestrator.
 
-:class:`~repro.core.backends.process.ProcessPoolBackend` already runs
-simulations in parallel, but its orchestration is synchronous: the whole
-batch is materialised up front, and completion handling — result
-deserialisation, cache writes, progress printing — runs on the calling
-thread between ``wait()`` wake-ups, in line with dispatch.  The async
-backend overlaps the two.  The calling thread streams work items into a
-bounded in-flight *window* (capping queued-result memory no matter how
-large the batch), while a dedicated completion thread drains finished
-futures as they complete and invokes ``on_result`` — so cache writes and
-progress I/O for finished units happen while later units are still
-simulating, and, through :class:`~repro.core.backends.base.StreamingBackend`,
-cache *lookups* for later units ride the stream instead of blocking the
-first submission.
+Each benchmark boots a fully isolated :class:`~repro.sim.system.System`
+with a seed derived only from ``(cfg.seed, bench_id)``, so runs are
+embarrassingly parallel.  Workers receive ``(bench_id, cfg)`` — the
+config (including any :class:`~repro.calibration.Calibration` override)
+pickles across the process boundary, and
+:func:`~repro.core.runner.execute_one` installs the override inside the
+worker, so no parent-process global state is relied upon.
 
-The window is adaptive by default: it grows when observed results are
-small (keeping the pool fed across fast units) and shrinks when they are
-large (a suite of billion-reference runs must not queue dozens of them),
-sized so queued results stay within a fixed memory budget.  An explicit
-``window`` pins it.
+The calling thread streams work items into a bounded in-flight *window*
+(capping queued-result memory no matter how large the batch), while a
+dedicated completion thread drains finished futures as they complete
+and invokes ``on_result`` — so cache writes and progress I/O for
+finished units happen while later units are still simulating, and cache
+*lookups* for later units ride the stream instead of blocking the first
+submission.
 
-Determinism is unchanged: results are reassembled by submission index,
+The window adapts: it grows when observed results are small (keeping
+the pool fed across fast units) and shrinks when they are large (a suite
+of billion-reference runs must not queue dozens of them), sized so
+queued results stay within :data:`WINDOW_TARGET_BYTES`.
+
+Determinism is unchanged: every result carries its consumption index,
 so the output is byte-identical to
 :class:`~repro.core.backends.serial.SerialBackend` regardless of
-completion order, window size, adaptivity, or job count.
+completion order, window size or job count.
 """
 
 from __future__ import annotations
@@ -32,22 +32,15 @@ from __future__ import annotations
 import itertools
 import pickle
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.backends.base import (
-    BackendError,
-    BatchProgress,
-    ProgressCallback,
-    execute_single_config,
-)
-from repro.core.backends.process import _timed_worker
+from repro.core.backends.base import BackendError, BatchProgress
 
 if TYPE_CHECKING:
     from repro.core.results import RunResult
     from repro.core.runner import RunConfig
-
-_T = TypeVar("_T")
 
 #: Soft budget for completed-but-unprocessed result memory; the adaptive
 #: window is sized so ``window * observed-result-size`` stays under it.
@@ -55,6 +48,15 @@ WINDOW_TARGET_BYTES = 32 * 1024 * 1024
 
 #: Adaptive window ceiling, as a multiple of the job count.
 WINDOW_MAX_FACTOR = 8
+
+
+def _timed_worker(bench_id: str, cfg: "RunConfig") -> "tuple[RunResult, float]":
+    """Top-level (picklable) worker: run one benchmark, report wall time."""
+    from repro.core.runner import execute_one
+
+    started = time.perf_counter()
+    result = execute_one(bench_id, cfg)
+    return result, time.perf_counter() - started
 
 
 class _InflightGate:
@@ -91,64 +93,37 @@ class _InflightGate:
                 self._cond.notify_all()
 
 
-class AsyncBackend:
-    """Feeds a process pool from the calling thread while a completion
-    thread handles results as they finish (as-completed streaming, not
-    ordered blocking).
+class PoolBackend:
+    """Feeds a pool of *jobs* worker processes from the calling thread
+    while a completion thread handles results as they finish
+    (as-completed streaming, not ordered blocking).
 
-    *window* bounds how many units may be in flight at once — submitted
-    to the pool but not yet fully completed, stored, and reported.  The
-    calling thread blocks on that bound, which is also the backpressure
-    that paces streamed cache lookups.  Passing ``window=None`` (the
-    default) makes the bound adaptive: it starts at ``2 * jobs`` and is
-    re-sized from observed pickled result sizes so queued results stay
-    within :data:`WINDOW_TARGET_BYTES`, clamped to ``[jobs,
-    WINDOW_MAX_FACTOR * jobs]``.  ``on_result`` is invoked from the
-    completion thread, exactly once per unit, indexed by submission
+    The window bounds how many units may be in flight at once —
+    submitted to the pool but not yet fully completed, stored, and
+    reported.  The calling thread blocks on that bound, which is also
+    the backpressure that paces streamed cache lookups.  It starts at
+    ``2 * jobs`` and is re-sized from observed pickled result sizes so
+    queued results stay within :data:`WINDOW_TARGET_BYTES`, clamped to
+    ``[jobs, WINDOW_MAX_FACTOR * jobs]``.  ``on_result`` is invoked from
+    the completion thread, exactly once per unit, indexed by submission
     order; invocations are serialised (one completion thread), but they
     are concurrent with the *calling* thread, so callbacks shared with
     it must synchronise — :func:`~repro.core.runner.execute_with_cache`
     does.
     """
 
-    name = "async"
+    name = "pool"
 
-    def __init__(self, jobs: int = 2, window: int | None = None) -> None:
+    def __init__(self, jobs: int = 2) -> None:
         if jobs < 1:
-            raise BackendError(f"async backend needs jobs >= 1, got {jobs}")
-        if window is not None and window < 1:
-            raise BackendError(
-                f"async backend needs window >= 1, got {window}"
-            )
+            raise BackendError(f"pool backend needs jobs >= 1, got {jobs}")
         self.jobs = jobs
-        self.adaptive = window is None
-        #: Current in-flight bound (re-sized live in adaptive mode).
-        self.window = window if window is not None else 2 * jobs
+        #: Current in-flight bound (re-sized live from result sizes).
+        self.window = 2 * jobs
         self._avg_result_bytes: float | None = None
         #: Bench ids actually simulated, in *completion* order (the only
         #: order this backend has; tests count real work with it).
         self.executed: list[str] = []
-
-    def plan(self, bench_ids: Sequence[str]) -> list[str]:
-        return list(bench_ids)
-
-    def plan_batch(self, items: Sequence[_T]) -> list[_T]:
-        return list(items)
-
-    def execute(
-        self,
-        bench_ids: Sequence[str],
-        cfg: "RunConfig",
-        on_result: ProgressCallback | None = None,
-    ) -> "list[RunResult]":
-        return execute_single_config(self, bench_ids, cfg, on_result)
-
-    def execute_batch(
-        self,
-        items: "Sequence[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-    ) -> "list[RunResult]":
-        return self.execute_stream(iter(items), on_result)
 
     def _observe(self, result: "RunResult", gate: _InflightGate) -> None:
         """Adapt the window to the result sizes actually coming back.
@@ -170,32 +145,29 @@ class AsyncBackend:
     def execute_stream(
         self,
         items: "Iterable[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-        collect: bool = True,
-    ) -> "list[RunResult]":
+        on_result: BatchProgress,
+    ) -> None:
         """Consume *items* lazily, keeping at most ``window`` in flight.
 
         The iterable is pulled from the calling thread (so a generator
         that probes a cache per item runs its lookups while earlier
         misses simulate); completions are handled on a dedicated thread.
-        A worker failure stops consumption, waits for in-flight units,
-        and re-raises the original exception.
+        No worker process starts until the stream yields its first item,
+        so a stream the cache serves in full never forks.  A worker
+        failure stops consumption, waits for in-flight units, and
+        re-raises the original exception.
 
-        With *collect* off, no result is retained after its
-        ``on_result`` invocation returns — neither in the returned list
-        (which is empty) nor in a completed future (each future is
-        dropped the moment its completion is handled) — so a
-        streaming-reduction caller holds the only reference and peak
-        memory stays bounded by the in-flight window however long the
-        stream runs.
+        No result is retained after its ``on_result`` invocation returns
+        — each future is dropped the moment its completion is handled —
+        so the caller holds the only reference and peak memory stays
+        bounded by the window however long the stream runs.
         """
         pulled = iter(items)
         try:
             first = next(pulled)
         except StopIteration:
-            return []
+            return
 
-        results: "list[RunResult | None]" = []
         in_flight = _InflightGate(self.window)
         failure: list[BaseException] = []
         stop = threading.Event()
@@ -208,19 +180,15 @@ class AsyncBackend:
 
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         completer = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="async-complete"
+            max_workers=1, thread_name_prefix="pool-complete"
         )
 
         def complete(index: int, bench_id: str, future) -> None:
             try:
                 result, elapsed = future.result()
-                if collect:
-                    results[index] = result
                 self.executed.append(bench_id)
-                if self.adaptive:
-                    self._observe(result, in_flight)
-                if on_result is not None:
-                    on_result(index, elapsed, result)
+                self._observe(result, in_flight)
+                on_result(index, elapsed, result)
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 if not failure:
                     failure.append(exc)
@@ -238,8 +206,6 @@ class AsyncBackend:
                 if stop.is_set():
                     in_flight.release()
                     break
-                if collect:
-                    results.append(None)
                 future = pool.submit(_timed_worker, bench_id, cfg)
                 with futures_lock:
                     in_flight_futures.add(future)
@@ -264,4 +230,3 @@ class AsyncBackend:
 
         if failure:
             raise failure[0]
-        return [r for r in results if r is not None]

@@ -3,27 +3,20 @@
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.backends.base import (
-    BatchProgress,
-    ProgressCallback,
-    execute_single_config,
-)
+from repro.core.backends.base import BatchProgress
 
 if TYPE_CHECKING:
-    from repro.core.results import RunResult
     from repro.core.runner import RunConfig
-
-_T = TypeVar("_T")
 
 
 class SerialBackend:
     """Runs every benchmark in this process, one after another.
 
-    Matches the pre-backend behaviour of ``SuiteRunner.run_suite`` and
-    serves as the reference implementation the parallel backends are
-    checked against.
+    Each item runs the moment it is pulled, so a caller's per-item work
+    (cache probe, run, cache write) interleaves unit by unit.  It is the
+    reference implementation the pool is checked against.
     """
 
     name = "serial"
@@ -33,34 +26,18 @@ class SerialBackend:
         #: never reach the backend, so tests use this to count real work).
         self.executed: list[str] = []
 
-    def plan(self, bench_ids: Sequence[str]) -> list[str]:
-        return list(bench_ids)
-
-    def plan_batch(self, items: Sequence[_T]) -> list[_T]:
-        return list(items)
-
-    def execute(
+    def execute_stream(
         self,
-        bench_ids: Sequence[str],
-        cfg: "RunConfig",
-        on_result: ProgressCallback | None = None,
-    ) -> "list[RunResult]":
-        return execute_single_config(self, bench_ids, cfg, on_result)
-
-    def execute_batch(
-        self,
-        items: "Sequence[tuple[str, RunConfig]]",
-        on_result: BatchProgress | None = None,
-    ) -> "list[RunResult]":
+        items: "Iterable[tuple[str, RunConfig]]",
+        on_result: BatchProgress,
+    ) -> None:
+        # Looked up at call time, through the runner module, so a
+        # wrapper installed there (profiling, tracing) sees every unit.
         from repro.core.runner import execute_one
 
-        out: list[RunResult] = []
         for index, (bench_id, cfg) in enumerate(items):
             started = time.perf_counter()
             result = execute_one(bench_id, cfg)
             elapsed = time.perf_counter() - started
             self.executed.append(bench_id)
-            if on_result is not None:
-                on_result(index, elapsed, result)
-            out.append(result)
-        return out
+            on_result(index, elapsed, result)

@@ -34,7 +34,7 @@ from repro.calibration import (
     profile_cpu_count,
 )
 from repro.core.results import ResultCache, RunResult, write_atomic
-from repro.core.runner import Reducer, RunConfig, execute_with_cache
+from repro.core.runner import Reducer, RunConfig, execute_with_cache, owned_by
 from repro.core.stats import (
     DEFAULT_SAMPLE_CAPACITY,
     FLEET_METRICS,
@@ -525,12 +525,13 @@ def run_fleet(
     backend: "ExecutionBackend | None" = None,
     cache: ResultCache | None = None,
     progress: FleetProgress | None = None,
+    shard: "tuple[int, int] | None" = None,
 ) -> FleetResult:
     """Sample, deduplicate, execute, and stream-reduce one fleet.
 
-    The full fleet is sampled and deduplicated *before* the backend
-    plans ownership, so a sharded backend partitions identical unit
-    lists everywhere and devices never overlap across shards.  Units
+    The full fleet is sampled and deduplicated *before* a *shard*
+    ``(k, n)`` takes its slice, so every shard partitions identical unit
+    lists and devices never overlap across shards.  Units
     stream through :func:`~repro.core.runner.execute_with_cache` with
     retention off and fold into sketches as they complete — per-device
     results are never held.
@@ -543,7 +544,7 @@ def run_fleet(
     units = spec.units(fleet)
     population = spec.population(fleet)
     del fleet  # the census is folded; no per-device objects persist
-    owned = backend.plan_batch(units)
+    owned = owned_by(units, shard)
     reducer = FleetReducer(spec, units_total=len(units), population=population)
     execute_with_cache(
         backend,

@@ -10,8 +10,9 @@ Execution is split in two layers: :func:`execute_one` is a pure, picklable
 top-level function mapping ``(bench_id, config)`` to a :class:`RunResult`
 (every bit of run state — seed, JIT flag, calibration override — travels
 inside the config, so workers in other processes reproduce runs exactly),
-and :class:`SuiteRunner` orchestrates batches: dedup, cache lookups, and
-delegation to a pluggable :class:`~repro.core.backends.ExecutionBackend`.
+and :class:`SuiteRunner` orchestrates batches: dedup, sharding, cache
+lookups, and delegation to a pluggable
+:class:`~repro.core.backends.ExecutionBackend`.
 
 This module is orchestration only and does not import the simulator;
 the simulation half lives in :mod:`repro.core.execute`, loaded when the
@@ -24,7 +25,7 @@ import threading
 import warnings
 import zlib
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from repro.calibration import Calibration, profile_cpu_count, use_calibration
 from repro.core.backends.base import shortfall_error
@@ -36,6 +37,8 @@ from repro.sim.ticks import millis, seconds
 
 if TYPE_CHECKING:
     from repro.core.backends import ExecutionBackend, ProgressCallback
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,48 @@ def dedup_ids(ids: Iterable[str]) -> list[str]:
     return out
 
 
+def parse_shard(text: str) -> tuple[int, int]:
+    """Parse a CLI ``K/N`` shard spec into ``(index, count)``."""
+    index_s, sep, count_s = text.partition("/")
+    try:
+        if not sep:
+            raise ValueError(text)
+        index, count = int(index_s), int(count_s)
+    except ValueError:
+        raise ConfigError(
+            f"bad shard spec {text!r}: expected K/N, e.g. 1/4"
+        ) from None
+    if count < 1 or not 1 <= index <= count:
+        raise ConfigError(
+            f"bad shard spec {text!r}: need 1 <= K <= N with N >= 1"
+        )
+    return index, count
+
+
+def shard_ids(ids: Sequence[_T], index: int, count: int) -> tuple[_T, ...]:
+    """The ordered slice of *ids* owned by shard *index* of *count* (1-based).
+
+    The single source of truth for the partition: round-robin by
+    position, so shards stay balanced even when the suite is sorted by
+    cost-correlated id order, and the union of shards 1..n is exactly
+    the input (order preserved within each shard).  Generic over the
+    element type: bench ids, sweep points and fleet units partition
+    through this one function.  Runners apply it to the full
+    deduplicated plan before any cache probe, so a warm cache never
+    shifts a partition.
+    """
+    if count < 1 or not 1 <= index <= count:
+        raise ConfigError(f"bad shard {index}/{count}: need 1 <= K <= N")
+    return tuple(ids[index - 1 :: count])
+
+
+def owned_by(
+    plan: Sequence[_T], shard: "tuple[int, int] | None"
+) -> list[_T]:
+    """The part of a full *plan* this run owns: all of it, or one shard."""
+    return list(plan if shard is None else shard_ids(plan, *shard))
+
+
 class Reducer:
     """Consumes completed runs as they arrive off the execution stream.
 
@@ -246,18 +291,14 @@ def execute_with_cache(
     memory stays O(metrics) however large the batch) and the return
     value is ``None``.
 
-    A backend advertising ``execute_stream`` (see
-    :class:`~repro.core.backends.StreamingBackend`) is fed lazily: the
-    cache probe for each item happens as the backend pulls it, so
-    lookups for later units overlap simulations already in flight, and
-    cache writes run inside the backend's completion handling (off the
-    critical path for the async backend).  With *retain_results* off,
-    the backend is streamed ``collect=False`` and does not materialise
-    its return list either.  Completion callbacks
-    may be concurrent with the probing thread, so result recording,
-    *reducer* consumption and *progress* invocations are serialised
-    under a lock — results stay a pure function of ``(bench_id,
-    config)`` either way, byte-identical to the batch path.
+    The backend is fed lazily: the cache probe for each item happens as
+    the backend pulls it, so lookups for later units overlap
+    simulations already in flight, and cache writes run inside the
+    backend's completion handling (off the critical path for the pool).
+    Completion callbacks may be concurrent with the probing thread, so
+    result recording, *reducer* consumption and *progress* invocations
+    are serialised under a lock — results stay a pure function of
+    ``(bench_id, config)`` whatever the completion order.
 
     The simulator is imported here, in the calling process, just before
     the first miss is handed to the backend: pool workers fork after it
@@ -281,19 +322,20 @@ def execute_with_cache(
         if progress is not None:
             progress(units[index], elapsed, run)
 
-    def probe(index: int) -> bool:
-        """Look one item up in the cache; record a hit or mark it pending."""
-        bench_id, cfg = items[index]
-        hit = cache.get(bench_id, cfg) if cache is not None else None
-        if hit is None:
+    def misses():
+        """Probe lazily, yielding only the items the backend must run."""
+        for index, (bench_id, cfg) in enumerate(items):
+            hit = cache.get(bench_id, cfg) if cache is not None else None
+            if hit is not None:
+                with lock:
+                    record(index, None, hit)
+                continue
             pending.append(index)
-            return False
-        with lock:
-            record(index, None, hit)
-        return True
+            _load_simulator()
+            yield bench_id, cfg
 
-    def on_result(batch_index: int, elapsed: float, run: RunResult) -> None:
-        index = pending[batch_index]
+    def on_result(stream_index: int, elapsed: float, run: RunResult) -> None:
+        index = pending[stream_index]
         # The cache write happens outside the lock: each key is written
         # at most once per batch, so puts only ever race the probes of
         # *other* keys, and keeping file I/O out of the critical section
@@ -304,42 +346,8 @@ def execute_with_cache(
         with lock:
             record(index, elapsed, run)
 
-    execute_stream = getattr(backend, "execute_stream", None)
-
-    def misses():
-        """Probe lazily, yielding only the items the backend must run."""
-        for index in range(len(items)):
-            if not probe(index):
-                _load_simulator()
-                yield items[index]
-
     try:
-        if execute_stream is not None:
-            returned = execute_stream(
-                misses(), on_result, collect=retain_results
-            )
-        else:
-            for index in range(len(items)):
-                probe(index)
-            if pending:
-                _load_simulator()
-            returned = backend.execute_batch(
-                [items[index] for index in pending], on_result
-            )
-        # Belt and braces: a backend that returns a fully aligned list
-        # without driving the callback still yields a complete batch
-        # (recorded without a *progress* event, as before the reducer
-        # hook existed — only the callback path carries timing).
-        if returned is not None and len(returned) == len(pending):
-            for batch_index, run in enumerate(returned):
-                index = pending[batch_index]
-                if not done[index] and run is not None:
-                    with lock:
-                        done[index] = 1
-                        if results is not None:
-                            results[index] = run
-                        if reducer is not None:
-                            reducer.consume(units[index], run)
+        backend.execute_stream(misses(), on_result)
         missing = [labels[index] for index in pending if not done[index]]
         if missing:
             raise shortfall_error(backend, missing, len(pending))
@@ -354,9 +362,11 @@ def execute_with_cache(
 class SuiteRunner:
     """Runs benchmarks and collects results.
 
-    Batch execution is delegated to a pluggable *backend* (serial by
-    default); an optional *cache* short-circuits runs whose
-    ``(bench_id, config, version)`` key already has a stored result.
+    Execution is delegated to a pluggable *backend* (serial by default);
+    an optional *cache* short-circuits runs whose ``(bench_id, config,
+    version)`` key already has a stored result, and an optional *shard*
+    ``(k, n)`` restricts every batch to the k-th of n deterministic
+    slices (see :func:`shard_ids`).
     """
 
     def __init__(
@@ -364,12 +374,14 @@ class SuiteRunner:
         config: RunConfig | None = None,
         backend: "ExecutionBackend | None" = None,
         cache: ResultCache | None = None,
+        shard: "tuple[int, int] | None" = None,
     ) -> None:
         from repro.core.backends import SerialBackend
 
         self.config = config if config is not None else RunConfig()
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
+        self.shard = shard
 
     # ------------------------------------------------------------------
 
@@ -387,18 +399,18 @@ class SuiteRunner:
 
         Cache hits are reported through *progress* with ``elapsed=None``
         (no simulation happened — distinct from a genuinely instantaneous
-        run); misses go to the backend (which may shard or parallelise)
-        and are stored back on completion.
+        run); misses go to the backend and are stored back on
+        completion.
         """
         cfg = config if config is not None else self.config
-        # Plan on the full deduplicated batch, then filter by cache: a
-        # shard partition must depend only on the batch, never on which
-        # results happen to be cached already.
-        wanted = self.backend.plan(
+        # Shard the full deduplicated batch, then filter by cache: a
+        # partition must never depend on which results are cached.
+        wanted = owned_by(
             dedup_ids(
                 spec.bench_id
                 for spec in benchmarks(tuple(ids) if ids is not None else None)
-            )
+            ),
+            self.shard,
         )
 
         results = execute_with_cache(

@@ -10,7 +10,7 @@ keeps only
 
 - exact **count / mean / min / max** — the running total is kept as an
   exact rational (:class:`fractions.Fraction`), so sums are independent
-  of arrival order: an async backend completing units in any order, or
+  of arrival order: a process pool completing units in any order, or
   shards merged in any order, produce bit-identical totals (float
   addition would not);
 - a **bottom-k hash sample** for percentiles: every observation carries a

@@ -32,7 +32,13 @@ from repro.calibration import (
     profile_cpu_count,
 )
 from repro.core.results import ResultCache, RunResult, write_atomic
-from repro.core.runner import Reducer, RunConfig, dedup_ids, execute_with_cache
+from repro.core.runner import (
+    Reducer,
+    RunConfig,
+    dedup_ids,
+    execute_with_cache,
+    owned_by,
+)
 from repro.core.suite import get_benchmark
 from repro.errors import AnalysisError, ConfigError
 from repro.faults.plan import fault_plan
@@ -412,7 +418,7 @@ class SweepResult:
         """Fold another sweep's cells into this one.
 
         The shard recombination step: run the same spec under
-        ``ShardedBackend(1, N) .. (N, N)``, then merge the outputs to
+        ``shard=(1, N) .. (N, N)``, then merge the outputs to
         reconstitute the full grid.  Axis metadata must agree — merging
         results of different specs would produce tables that silently
         mix grids.
@@ -507,7 +513,7 @@ class MaterializingReducer(Reducer):
     every cell (so it is O(grid) memory, exactly as before the reducer
     seam existed), while a fleet's :class:`~repro.core.stats.SketchSet`
     reduction keeps O(metrics).  Cells arrive in *completion* order —
-    the async backend's may race ahead of grid order — and
+    the pool's may race ahead of grid order — and
     :meth:`finish` re-emits them in canonical grid order, so the
     resulting JSON is byte-identical to the historical non-streamed
     output whatever order execution took.
@@ -553,18 +559,18 @@ class MaterializingReducer(Reducer):
 class SweepRunner:
     """Expands a :class:`SweepSpec` and executes it as one flat batch.
 
-    The grid is flattened before execution, so any backend sees a single
-    heterogeneous batch: a process pool keeps all workers busy across
-    configs, and a sharded backend partitions *points* (not benchmarks).
-    A :class:`~repro.core.results.ResultCache` is consulted per point
-    with exactly the keying suite runs use, so sweep cells and suite
-    runs share cached results both ways.  A streaming backend (e.g.
-    :class:`~repro.core.backends.AsyncBackend`) pulls the flattened grid
-    lazily instead, so per-point cache lookups and result writes overlap
-    points still simulating — without changing the result bytes.
+    The grid is flattened before execution, so the backend sees a single
+    heterogeneous stream: a process pool keeps all workers busy across
+    configs, and a *shard* ``(k, n)`` partitions *points* (not
+    benchmarks).  A :class:`~repro.core.results.ResultCache` is
+    consulted per point with exactly the keying suite runs use, so sweep
+    cells and suite runs share cached results both ways.  The backend
+    pulls the flattened grid lazily, so per-point cache lookups and
+    result writes overlap points still simulating — without changing
+    the result bytes.
 
     The run is three separable stages — :meth:`plan` (grid expansion and
-    backend ownership), :meth:`execute` (cache-aware execution feeding
+    shard ownership), :meth:`execute` (cache-aware execution feeding
     an optional streaming :class:`~repro.core.runner.Reducer`), and
     reduction (the reducer's ``finish``).  :meth:`run` wires them with a
     :class:`MaterializingReducer` for the classic full-grid result;
@@ -576,11 +582,13 @@ class SweepRunner:
         self,
         backend: "ExecutionBackend | None" = None,
         cache: ResultCache | None = None,
+        shard: "tuple[int, int] | None" = None,
     ) -> None:
         from repro.core.backends import SerialBackend
 
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
+        self.shard = shard
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -591,14 +599,13 @@ class SweepRunner:
         """Expand the grid and settle ownership.
 
         Returns ``(variants, points, owned)``: the variant table, the
-        full canonical grid, and the backend's owned slice of it (the
-        full grid everywhere but under a sharded backend).  Planning
-        happens before cache filtering, so shard partitions never shift
-        with cache contents.
+        full canonical grid, and this run's owned slice of it (the full
+        grid unless sharded).  Planning happens before cache filtering,
+        so shard partitions never shift with cache contents.
         """
         variants = spec.variants()
         points = spec.expand(variants)
-        owned = self.backend.plan_batch(points)
+        owned = owned_by(points, self.shard)
         return variants, points, owned
 
     # ------------------------------------------------------------------

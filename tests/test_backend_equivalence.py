@@ -2,9 +2,9 @@
 
 The contract under test: a run is a pure function of ``(bench_id,
 RunConfig)``, so the same suite or sweep serialises to byte-identical
-JSON through every execution path — serial, process pool, sharded shards
-merged back together, and the async overlapped-I/O backend — whether the
-cache is cold, partially warmed, or fully pre-warmed.  Completion order
+JSON through every execution path — the serial executor, the process
+pool, and shards merged back together — whether the cache is cold,
+partially warmed, or fully pre-warmed.  Completion order
 is backend-specific and explicitly *not* part of the contract, so the
 matrix also pins the progress protocol: out-of-order completion must
 still report index-correct units, and cache hits must report
@@ -18,12 +18,10 @@ import threading
 import pytest
 
 from repro.core import (
-    AsyncBackend,
-    ProcessPoolBackend,
+    PoolBackend,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SuiteResult,
     SuiteRunner,
     SweepAxis,
@@ -62,17 +60,15 @@ PROFILE_SWEEP_SPEC = SweepSpec(
     base=FAST,
 )
 
-BACKENDS = ("serial", "process", "async")
+BACKENDS = ("serial", "pool")
 WARMTH = ("cold", "partial", "prewarmed")
 
 
 def _make(name: str):
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(jobs=2)
-    if name == "async":
-        return AsyncBackend(jobs=2, window=3)
+    if name == "pool":
+        return PoolBackend(jobs=2)
     raise AssertionError(name)
 
 
@@ -157,15 +153,23 @@ class TestSuiteMatrix:
         elif warmth == "partial":
             assert sorted(backend.executed) == sorted(SUITE_IDS[1:])
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("warmth", WARMTH)
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_sharded_shards_merge_byte_identical(
-        self, inner, serial_suite_bytes, tmp_path
+        self, name, warmth, serial_suite_bytes, tmp_path
     ):
+        """Shards partition the full plan before any cache probe, so a
+        warm cache never moves a unit between shards."""
+        cache_dir = _warm_suite_cache(tmp_path, warmth, FAST)
+        backends = [_make(name) for _ in (1, 2)]
         parts = [
             SuiteRunner(
-                FAST, backend=ShardedBackend(k, 2, inner=_make(inner))
+                FAST,
+                backend=backend,
+                cache=ResultCache(cache_dir) if cache_dir else None,
+                shard=(k, 2),
             ).run_suite(SUITE_IDS)
-            for k in (1, 2)
+            for k, backend in zip((1, 2), backends)
         ]
         merged = SuiteResult()
         for bench_id in SUITE_IDS:               # canonical suite order
@@ -173,6 +177,10 @@ class TestSuiteMatrix:
                 if bench_id in part.runs:
                     merged.add(part.runs[bench_id])
         assert _suite_bytes(merged, tmp_path / "out.json") == serial_suite_bytes
+        misses = {"cold": SUITE_IDS, "partial": SUITE_IDS[1:],
+                  "prewarmed": []}[warmth]
+        ran = [bid for backend in backends for bid in backend.executed]
+        assert sorted(ran) == sorted(misses)
 
 
 # ----------------------------------------------------------------------
@@ -199,19 +207,28 @@ class TestSweepMatrix:
             # other benchmark's cells may simulate.
             assert backend.executed == ["999.specrand"] * 4
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("warmth", WARMTH)
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_sharded_shards_merge_byte_identical(
-        self, inner, serial_sweep_bytes, tmp_path
+        self, name, warmth, serial_sweep_bytes, tmp_path
     ):
+        cache_dir = _warm_sweep_cache(tmp_path, warmth)
+        backends = [_make(name) for _ in (1, 2)]
         shards = [
             SweepRunner(
-                backend=ShardedBackend(k, 2, inner=_make(inner))
+                backend=backend,
+                cache=ResultCache(cache_dir) if cache_dir else None,
+                shard=(k, 2),
             ).run(SWEEP_SPEC)
-            for k in (1, 2)
+            for k, backend in zip((1, 2), backends)
         ]
         merged = shards[0]
         merged.merge(shards[1])
         assert _sweep_bytes(merged, tmp_path / "out.json") == serial_sweep_bytes
+        misses = {"cold": list(SWEEP_SPEC.benches) * 4,
+                  "partial": ["999.specrand"] * 4, "prewarmed": []}[warmth]
+        ran = [bid for backend in backends for bid in backend.executed]
+        assert sorted(ran) == sorted(misses)
 
 
 # ----------------------------------------------------------------------
@@ -261,13 +278,13 @@ class TestCpuProfileMatrix:
         if warmth == "prewarmed":
             assert backend.executed == []    # zero redundant simulations
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_asymmetric_sharded_merge_byte_identical(
-        self, inner, serial_biglittle_bytes, tmp_path
+        self, name, serial_biglittle_bytes, tmp_path
     ):
         parts = [
             SuiteRunner(
-                FAST_BIGLITTLE, backend=ShardedBackend(k, 2, inner=_make(inner))
+                FAST_BIGLITTLE, backend=_make(name), shard=(k, 2)
             ).run_suite(SUITE_IDS)
             for k in (1, 2)
         ]
@@ -341,15 +358,13 @@ class TestCpuProfileMatrix:
 
 
 # ----------------------------------------------------------------------
-# (c) Full-suite acceptance: async vs serial over all 25 benchmarks
+# (c) Full-suite acceptance: pool vs serial over all 25 benchmarks
 
 
 class TestFullSuite:
-    def test_async_full_suite_byte_identical_to_serial(self, tmp_path):
+    def test_pool_full_suite_byte_identical_to_serial(self, tmp_path):
         serial = SuiteRunner(FAST, backend=SerialBackend()).run_suite()
-        overlapped = SuiteRunner(
-            FAST, backend=AsyncBackend(jobs=4, window=6)
-        ).run_suite()
+        overlapped = SuiteRunner(FAST, backend=PoolBackend(jobs=4)).run_suite()
         assert _suite_bytes(overlapped, tmp_path / "a.json") == _suite_bytes(
             serial, tmp_path / "s.json"
         )
@@ -365,16 +380,14 @@ class ReversingBackend(SerialBackend):
 
     name = "reversing"
 
-    def execute_batch(self, items, on_result=None):
+    def execute_stream(self, items, on_result):
         batch = list(items)
         runs = []
         for bench_id, cfg in batch:
             runs.append(execute_one(bench_id, cfg))
             self.executed.append(bench_id)
-        if on_result is not None:
-            for index in reversed(range(len(batch))):
-                on_result(index, 0.25, runs[index])
-        return runs
+        for index in reversed(range(len(batch))):
+            on_result(index, 0.25, runs[index])
 
 
 class TestProgressOrdering:
@@ -405,42 +418,42 @@ class TestProgressOrdering:
         sweep = SweepRunner(backend=ReversingBackend()).run(SWEEP_SPEC)
         assert _sweep_bytes(sweep, tmp_path / "out.json") == serial_sweep_bytes
 
-    def test_async_progress_indices_address_submission_order(self):
-        """The async backend completes in arbitrary order; its on_result
-        index must always address the submitted batch position."""
+    def test_pool_progress_indices_address_submission_order(self):
+        """The pool completes in arbitrary order; its on_result index
+        must always address the submitted stream position."""
         items = [
             ("countdown.main", FAST),
             ("999.specrand", FAST),
             ("countdown.main", FAST.scaled(0.5)),
         ]
-        seen = []
-        results = AsyncBackend(jobs=2, window=2).execute_batch(
-            items, lambda i, secs, res: seen.append((i, res.bench_id))
+        results = {}
+        PoolBackend(jobs=2).execute_stream(
+            items, lambda i, secs, res: results.setdefault(i, res)
         )
-        assert sorted(i for i, _ in seen) == [0, 1, 2]
-        assert all(bid == items[i][0] for i, bid in seen)
-        assert [r.bench_id for r in results] == [b for b, _ in items]
+        assert sorted(results) == [0, 1, 2]
+        assert [results[i].bench_id for i in range(3)] == \
+            [b for b, _ in items]
         assert results[2].duration_ticks == FAST.scaled(0.5).duration_ticks
 
-    def test_async_completions_run_off_the_calling_thread(self):
+    def test_pool_completions_run_off_the_calling_thread(self):
         """The overlap mechanism itself: on_result runs on the completion
-        thread, not the thread that called execute_batch."""
+        thread, not the thread that called execute_stream."""
         caller = threading.get_ident()
         threads = set()
-        AsyncBackend(jobs=2).execute_batch(
+        PoolBackend(jobs=2).execute_stream(
             [("countdown.main", FAST), ("999.specrand", FAST)],
             lambda i, secs, res: threads.add(threading.get_ident()),
         )
         assert threads and caller not in threads
 
-    def test_async_warm_hits_report_none_elapsed(self, tmp_path):
+    def test_pool_warm_hits_report_none_elapsed(self, tmp_path):
         """Cache hits keep the elapsed=None convention even when misses
-        complete concurrently on the async path."""
+        complete concurrently on the pool."""
         root = str(tmp_path / "cache")
         SuiteRunner(FAST, cache=ResultCache(root)).run_suite(SUITE_IDS[:2])
         events = []
         SuiteRunner(
-            FAST, backend=AsyncBackend(jobs=2), cache=ResultCache(root)
+            FAST, backend=PoolBackend(jobs=2), cache=ResultCache(root)
         ).run_suite(
             SUITE_IDS,
             progress=lambda bid, secs, res: events.append((bid, secs)),
@@ -455,53 +468,11 @@ class TestProgressOrdering:
 # (e) Streaming: lookups/writes ride the stream, off the critical path
 
 
-class PullOneBackend(SerialBackend):
-    """Executes each streamed item the moment it is pulled, exposing the
-    interleaving of cache probes with execution."""
-
-    name = "pull-one"
-
-    def execute_stream(self, items, on_result=None, collect=True):
-        out = []
-        for index, (bench_id, cfg) in enumerate(items):
-            run = execute_one(bench_id, cfg)
-            self.executed.append(bench_id)
-            if on_result is not None:
-                on_result(index, 0.1, run)
-            if collect:
-                out.append(run)
-        return out
-
-
 class TestStreamingOverlap:
     def test_streamed_lookups_interleave_with_execution(self, tmp_path):
-        """Through a streaming backend, the cache probe for a later unit
-        happens *after* earlier units already executed — lookups ride the
-        stream instead of blocking the first submission."""
-        events = []
-
-        class RecordingCache(ResultCache):
-            def get(self, bench_id, cfg):
-                events.append(("get", bench_id))
-                return super().get(bench_id, cfg)
-
-            def put(self, bench_id, cfg, result):
-                events.append(("put", bench_id))
-                super().put(bench_id, cfg, result)
-
-        ids = SUITE_IDS[:2]
-        SuiteRunner(
-            FAST, backend=PullOneBackend(),
-            cache=RecordingCache(str(tmp_path / "cache")),
-        ).run_suite(ids)
-        assert events == [
-            ("get", ids[0]), ("put", ids[0]),
-            ("get", ids[1]), ("put", ids[1]),
-        ]
-
-    def test_batch_backends_probe_up_front(self, tmp_path):
-        """The non-streaming path keeps its original shape: all lookups
-        first, then the batch."""
+        """The cache probe for a later unit happens *after* earlier units
+        already executed — lookups ride the stream instead of blocking
+        the first submission."""
         events = []
 
         class RecordingCache(ResultCache):
@@ -519,8 +490,8 @@ class TestStreamingOverlap:
             cache=RecordingCache(str(tmp_path / "cache")),
         ).run_suite(ids)
         assert events == [
-            ("get", ids[0]), ("get", ids[1]),
-            ("put", ids[0]), ("put", ids[1]),
+            ("get", ids[0]), ("put", ids[0]),
+            ("get", ids[1]), ("put", ids[1]),
         ]
 
 
@@ -588,14 +559,14 @@ class TestFaultMatrix:
         if warmth == "prewarmed":
             assert backend.executed == []    # the plan rides the cache key
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_fault_sweep_sharded_merge_byte_identical(
-        self, inner, serial_fault_sweep_bytes, tmp_path
+        self, name, serial_fault_sweep_bytes, tmp_path
     ):
         shards = [
-            SweepRunner(
-                backend=ShardedBackend(k, 2, inner=_make(inner))
-            ).run(FAULT_SWEEP_SPEC)
+            SweepRunner(backend=_make(name), shard=(k, 2)).run(
+                FAULT_SWEEP_SPEC
+            )
             for k in (1, 2)
         ]
         merged = shards[0]
@@ -691,15 +662,15 @@ class TestBootAxisSweepMatrix:
                 bench for bench in spec.benches for _ in range(cells)
             ]
 
-    @pytest.mark.parametrize("inner", ("serial", "async"))
+    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("label", sorted(BOOT_AXIS_SWEEPS))
     def test_sharded_shards_merge_byte_identical(
-        self, label, inner, serial_boot_axis_refs, tmp_path
+        self, label, name, serial_boot_axis_refs, tmp_path
     ):
         shards = [
-            SweepRunner(
-                backend=ShardedBackend(k, 2, inner=_make(inner))
-            ).run(BOOT_AXIS_SWEEPS[label])
+            SweepRunner(backend=_make(name), shard=(k, 2)).run(
+                BOOT_AXIS_SWEEPS[label]
+            )
             for k in (1, 2)
         ]
         merged = shards[0]

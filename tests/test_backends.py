@@ -1,8 +1,9 @@
 """The pluggable execution-backend subsystem.
 
 The contract under test: a run is a pure function of (bench id, config),
-so every backend — serial, process pool, sharded — produces byte-identical
-results, and the content-addressed cache can stand in for any of them.
+so both executors — serial and the process pool — and every shard
+produce byte-identical results, and the content-addressed cache can
+stand in for any of them.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ from repro.calibration import Calibration
 from repro.core import (
     FIGURE_ORDER,
     QUICK_CONFIG,
-    AsyncBackend,
     BackendError,
-    ProcessPoolBackend,
+    PoolBackend,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SuiteRunner,
     make_backend,
     parse_shard,
     shard_ids,
 )
-from repro.errors import WorkloadError
+from repro.core.backends import pool
+from repro.errors import ConfigError, WorkloadError
 
 SUBSET = ["countdown.main", "music.mp3.view", "401.bzip2", "999.specrand"]
 
@@ -49,23 +49,23 @@ def _suite_json(suite) -> str:
 class TestBackendEquivalence:
     def test_serial_and_process_results_are_byte_identical(self):
         serial = SuiteRunner(QUICK_CONFIG, backend=SerialBackend())
-        process = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=4))
+        process = SuiteRunner(QUICK_CONFIG, backend=PoolBackend(jobs=4))
         assert _suite_json(serial.run_suite(SUBSET)) == _suite_json(
             process.run_suite(SUBSET)
         )
 
     def test_process_backend_preserves_submission_order(self):
-        runner = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=3))
+        runner = SuiteRunner(QUICK_CONFIG, backend=PoolBackend(jobs=3))
         assert runner.run_suite(SUBSET).ids() == SUBSET
 
     def test_job_count_does_not_change_results(self):
-        one = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=1))
-        many = SuiteRunner(QUICK_CONFIG, backend=ProcessPoolBackend(jobs=4))
+        one = SuiteRunner(QUICK_CONFIG, backend=PoolBackend(jobs=1))
+        many = SuiteRunner(QUICK_CONFIG, backend=PoolBackend(jobs=4))
         ids = SUBSET[:2]
         assert _suite_json(one.run_suite(ids)) == _suite_json(many.run_suite(ids))
 
     def test_progress_fires_per_run_under_both_backends(self):
-        for backend in (SerialBackend(), ProcessPoolBackend(jobs=2)):
+        for backend in (SerialBackend(), PoolBackend(jobs=2)):
             seen = []
             runner = SuiteRunner(QUICK_CONFIG, backend=backend)
             runner.run_suite(
@@ -98,22 +98,23 @@ class TestSharding:
     def test_single_shard_is_the_whole_suite(self):
         assert shard_ids(FIGURE_ORDER, 1, 1) == FIGURE_ORDER
 
-    def test_sharded_backend_runs_only_its_slice(self):
-        runner = SuiteRunner(QUICK_CONFIG, backend=ShardedBackend(2, 2))
+    def test_sharded_runner_runs_only_its_slice(self):
+        runner = SuiteRunner(QUICK_CONFIG, shard=(2, 2))
         suite = runner.run_suite(SUBSET)
         assert suite.ids() == list(shard_ids(SUBSET, 2, 2))
+        assert runner.backend.executed == list(shard_ids(SUBSET, 2, 2))
 
     def test_parse_shard(self):
         assert parse_shard("1/4") == (1, 4)
         assert parse_shard("4/4") == (4, 4)
         for bad in ("0/4", "5/4", "x/4", "3", "1/0"):
-            with pytest.raises(BackendError):
+            with pytest.raises(ConfigError):
                 parse_shard(bad)
 
     def test_invalid_shard_rejected(self):
-        with pytest.raises(BackendError):
-            ShardedBackend(3, 2)
-        with pytest.raises(BackendError):
+        with pytest.raises(ConfigError):
+            SuiteRunner(QUICK_CONFIG, shard=(3, 2)).run_suite(SUBSET)
+        with pytest.raises(ConfigError):
             shard_ids(FIGURE_ORDER, 0, 2)
 
     def test_warm_cache_does_not_shift_the_partition(self, tmp_path):
@@ -127,8 +128,8 @@ class TestSharding:
         for k in (1, 2):
             runner = SuiteRunner(
                 QUICK_CONFIG,
-                backend=ShardedBackend(k, 2),
                 cache=ResultCache(str(tmp_path)),
+                shard=(k, 2),
             )
             suites.append(runner.run_suite(SUBSET))
         covered = [bid for s in suites for bid in s.ids()]
@@ -136,51 +137,39 @@ class TestSharding:
 
 
 # ----------------------------------------------------------------------
-# (b2) Async backend plumbing (cross-backend equivalence lives in
+# (b2) Pool plumbing (cross-backend equivalence lives in
 # test_backend_equivalence.py)
 
 
-class TestAsyncBackend:
-    def test_rejects_bad_jobs_and_window(self):
-        with pytest.raises(BackendError):
-            AsyncBackend(jobs=0)
-        with pytest.raises(BackendError):
-            AsyncBackend(jobs=2, window=0)
+def _discard(index, elapsed, result) -> None:
+    """An ``on_result`` for tests that only look at side effects."""
 
+
+class TestPoolBackend:
     def test_window_defaults_to_twice_jobs(self):
-        assert AsyncBackend(jobs=3).window == 6
-        assert AsyncBackend(jobs=2, window=5).window == 5
-
-    def test_explicit_window_pins_adaptivity_off(self):
-        assert AsyncBackend(jobs=2, window=5).adaptive is False
-        assert AsyncBackend(jobs=2).adaptive is True
+        assert PoolBackend(jobs=3).window == 6
 
     def test_adaptive_window_stays_within_bounds(self):
-        from repro.core.backends.async_ import WINDOW_MAX_FACTOR
-
-        backend = AsyncBackend(jobs=2)
+        backend = PoolBackend(jobs=2)
         runner = SuiteRunner(QUICK_CONFIG, backend=backend)
         suite = runner.run_suite(SUBSET[:3])
         assert suite.ids() == SUBSET[:3]
         # The window adapted from observed result sizes, but never left
         # [jobs, WINDOW_MAX_FACTOR * jobs].
         assert backend._avg_result_bytes is not None
-        assert backend.jobs <= backend.window <= WINDOW_MAX_FACTOR * backend.jobs
+        assert backend.jobs <= backend.window <= \
+            pool.WINDOW_MAX_FACTOR * backend.jobs
 
     def test_adaptive_window_shrinks_for_huge_results(self):
-        from repro.core.backends.async_ import (
-            WINDOW_TARGET_BYTES,
-            _InflightGate,
-        )
         from repro.core.results import RunResult
 
-        backend = AsyncBackend(jobs=2)
-        gate = _InflightGate(backend.window)
+        backend = PoolBackend(jobs=2)
+        gate = pool._InflightGate(backend.window)
         # A result pickling to more than half the budget forces the
         # window down to its floor (the job count)...
         fat = RunResult(
             bench_id="x", benchmark_comm="x", duration_ticks=1, seed=0,
-            meta={"pad": "y" * WINDOW_TARGET_BYTES},
+            meta={"pad": "y" * pool.WINDOW_TARGET_BYTES},
         )
         backend._observe(fat, gate)
         assert backend.window == backend.jobs
@@ -196,9 +185,7 @@ class TestAsyncBackend:
     def test_inflight_gate_resize_admits_waiters(self):
         import threading
 
-        from repro.core.backends.async_ import _InflightGate
-
-        gate = _InflightGate(1)
+        gate = pool._InflightGate(1)
         gate.acquire()
         admitted = threading.Event()
 
@@ -213,22 +200,49 @@ class TestAsyncBackend:
         assert admitted.wait(2.0)           # widened bound lets it in
         thread.join()
 
-    def test_empty_batch_is_a_noop(self):
-        backend = AsyncBackend(jobs=2)
-        assert backend.execute_batch([]) == []
+    def test_empty_stream_is_a_noop(self):
+        backend = PoolBackend(jobs=2)
+        backend.execute_stream([], _discard)
         assert backend.executed == []
 
-    def test_tight_window_still_completes_in_order(self):
-        backend = AsyncBackend(jobs=1, window=1)
+    def test_fully_cached_stream_never_starts_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """A replay the cache serves in full forks no worker: the pool
+        is only built once the stream yields its first miss."""
+        baseline = SuiteRunner(
+            QUICK_CONFIG, cache=ResultCache(str(tmp_path))
+        ).run_suite(SUBSET[:2])
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached stream started a pool")
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+        backend = PoolBackend(jobs=2)
+        replay = SuiteRunner(
+            QUICK_CONFIG, backend=backend, cache=ResultCache(str(tmp_path))
+        ).run_suite(SUBSET[:2])
+        assert backend.executed == []
+        assert _suite_json(replay) == _suite_json(baseline)
+
+    def test_tight_window_still_completes_in_order(self, monkeypatch):
+        # A one-byte budget pins the adaptive window to its floor (jobs).
+        monkeypatch.setattr(pool, "WINDOW_TARGET_BYTES", 1)
+        backend = PoolBackend(jobs=1)
         runner = SuiteRunner(QUICK_CONFIG, backend=backend)
         assert runner.run_suite(SUBSET[:3]).ids() == SUBSET[:3]
+        assert backend.window == 1
 
-    def test_worker_failure_propagates_and_stops_the_stream(self):
-        backend = AsyncBackend(jobs=1, window=1)
+    def test_worker_failure_propagates_and_stops_the_stream(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool, "WINDOW_TARGET_BYTES", 1)
+        backend = PoolBackend(jobs=1)
         with pytest.raises(WorkloadError, match="unknown benchmark"):
-            backend.execute_batch(
+            backend.execute_stream(
                 [("no.such.bench", QUICK_CONFIG)]
-                + [("countdown.main", QUICK_CONFIG)] * 8
+                + [("countdown.main", QUICK_CONFIG)] * 8,
+                _discard,
             )
         # The bounded window plus the failure stop keep most of the tail
         # from ever being submitted.
@@ -238,7 +252,7 @@ class TestAsyncBackend:
         SuiteRunner(QUICK_CONFIG, cache=ResultCache(str(tmp_path))).run_suite(
             SUBSET[:1]
         )
-        backend = AsyncBackend(jobs=2)
+        backend = PoolBackend(jobs=2)
         SuiteRunner(
             QUICK_CONFIG, backend=backend, cache=ResultCache(str(tmp_path))
         ).run_suite(SUBSET[:2])
@@ -600,7 +614,7 @@ class TestSerialisation:
         cold = RunConfig(duration_ticks=hot.duration_ticks,
                          settle_ticks=hot.settle_ticks,
                          calibration=Calibration().scaled(4.0))
-        backend = ProcessPoolBackend(jobs=2)
+        backend = PoolBackend(jobs=2)
         runner = SuiteRunner(hot, backend=backend)
         base = runner.run_suite(["doom.main"]).get("doom.main")
         scaled = runner.run_suite(["doom.main"], config=cold).get("doom.main")
@@ -622,26 +636,24 @@ class TestRunnerOrchestration:
 
     def test_make_backend_selection(self):
         assert isinstance(make_backend(None, jobs=1), SerialBackend)
-        assert isinstance(make_backend(None, jobs=4), ProcessPoolBackend)
-        assert isinstance(make_backend("serial", jobs=4), SerialBackend)
-        sharded = make_backend("process", jobs=2, shard="1/3")
-        assert isinstance(sharded, ShardedBackend)
-        assert isinstance(sharded.inner, ProcessPoolBackend)
+        assert isinstance(make_backend(None, jobs=4), PoolBackend)
+        assert isinstance(make_backend("serial", jobs=1), SerialBackend)
+        assert isinstance(make_backend("process", jobs=2), PoolBackend)
+        for name, jobs in ((None, 0), (None, -3), ("async", 0),
+                           ("serial", 4)):
+            with pytest.raises(ConfigError):
+                make_backend(name, jobs=jobs)
         with pytest.raises(BackendError):
             make_backend("gpu")
 
     def test_make_backend_async(self):
         backend = make_backend("async", jobs=3)
-        assert isinstance(backend, AsyncBackend)
+        assert isinstance(backend, PoolBackend)
         assert backend.jobs == 3 and backend.window == 6
-        assert make_backend("async", jobs=2, window=9).window == 9
-        sharded = make_backend("async", jobs=2, shard="2/2")
-        assert isinstance(sharded, ShardedBackend)
-        assert isinstance(sharded.inner, AsyncBackend)
 
     def test_process_backend_rejects_zero_jobs(self):
         with pytest.raises(BackendError):
-            ProcessPoolBackend(jobs=0)
+            PoolBackend(jobs=0)
 
     def test_backend_shortfall_raises_naming_the_missing(self):
         """A backend that silently loses results (crashed pool worker)
@@ -651,26 +663,26 @@ class TestRunnerOrchestration:
         class LossyBackend(SerialBackend):
             name = "lossy"
 
-            def execute_batch(self, items, on_result=None):
-                return super().execute_batch(list(items)[:-1], on_result)
+            def execute_stream(self, items, on_result):
+                super().execute_stream(list(items)[:-1], on_result)
 
         runner = SuiteRunner(QUICK_CONFIG, backend=LossyBackend())
         with pytest.raises(BackendError, match="999.specrand"):
             runner.run_suite(["countdown.main", "999.specrand"])
 
-    def test_execute_batch_mixes_configs_in_one_batch(self):
-        """The batch primitive carries a config per item, so one call can
-        execute the same benchmark under different configs."""
+    def test_execute_stream_mixes_configs_in_one_stream(self):
+        """The stream carries a config per item, so one call can execute
+        the same benchmark under different configs."""
         backend = SerialBackend()
         cold = QUICK_CONFIG
         hot = RunConfig(duration_ticks=cold.duration_ticks // 2,
                         settle_ticks=cold.settle_ticks)
-        seen = []
-        results = backend.execute_batch(
+        results = {}
+        backend.execute_stream(
             [("countdown.main", cold), ("countdown.main", hot)],
-            lambda i, secs, res: seen.append(i),
+            lambda i, secs, res: results.setdefault(i, res),
         )
-        assert sorted(seen) == [0, 1]
+        assert sorted(results) == [0, 1]
         assert results[0].duration_ticks == cold.duration_ticks
         assert results[1].duration_ticks == hot.duration_ticks
 
@@ -698,16 +710,6 @@ class TestCli:
             tmp_path / "b.json"
         ).read_bytes()
 
-    def test_suite_window_flag_pins_the_async_window(self, capsys):
-        from repro.__main__ import main
-
-        argv = ["--duration", "0.4", "--settle-ms", "200", "suite",
-                "--backend", "async", "--jobs", "1", "--window", "1",
-                "--bench", "countdown.main", "--bench", "999.specrand"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "countdown.main" in out and "999.specrand" in out
-
     def test_suite_shard_flag(self, capsys):
         from repro.__main__ import main
 
@@ -725,9 +727,35 @@ class TestCli:
                      "countdown.main"]) == 2
         assert "bad shard spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--jobs", "-3"], "--jobs must be >= 1, got -3"),
+        (["--backend", "serial", "--jobs", "4"], "cannot use --jobs 4"),
+    ], ids=["jobs-zero", "jobs-negative", "serial-with-jobs"])
+    @pytest.mark.parametrize("command", [
+        "suite", "sweep", "faults", "fleet", "figures", "table1", "claims",
+        "smp",
+    ])
+    def test_unusable_jobs_is_a_clean_error(
+        self, command, flags, message, capsys
+    ):
+        """--jobs is never silently clamped or ignored: on every command
+        that may run benchmarks, a value no backend can honour exits 2
+        with a named error before any run."""
+        from repro.__main__ import main
+
+        target = {
+            "suite": ["--bench", "countdown.main"],
+            "sweep": ["--bench", "countdown.main"],
+            "faults": ["--bench", "countdown.main"],
+            "fleet": ["--devices", "2"],
+        }.get(command, [])
+        assert main([command, *target, *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_artifact_commands_reject_shard(self):
         """Figures/table1/claims over a partial suite would be silently
-        wrong, so --shard stays off them (suite and sweep only)."""
+        wrong, so --shard stays off them (suite, sweep and fleet only)."""
         from repro.__main__ import main
 
         for command in ("figures", "table1", "claims"):

@@ -17,16 +17,14 @@ import weakref
 import pytest
 
 from repro.core import (
-    AsyncBackend,
     FleetResult,
     FleetSpec,
-    ProcessPoolBackend,
+    PoolBackend,
     ProgressMeter,
     Reducer,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SketchSet,
     SweepAxis,
     SweepRunner,
@@ -147,17 +145,13 @@ class TestFleetExecution:
         assert serial_result.devices_done == SPEC.devices
         assert serial_result.sketches["total_refs"].count == SPEC.devices
 
-    def test_async_matches_serial_bytes(self, serial_result):
-        result = run_fleet(SPEC, AsyncBackend(jobs=2))
-        assert _fleet_json(result) == _fleet_json(serial_result)
-
-    def test_process_matches_serial_bytes(self, serial_result):
-        result = run_fleet(SPEC, ProcessPoolBackend(jobs=2))
+    def test_pool_matches_serial_bytes(self, serial_result):
+        result = run_fleet(SPEC, PoolBackend(jobs=2))
         assert _fleet_json(result) == _fleet_json(serial_result)
 
     def test_merged_shards_equal_unsharded(self, serial_result):
-        one = run_fleet(SPEC, ShardedBackend(1, 2))
-        two = run_fleet(SPEC, ShardedBackend(2, 2, inner=AsyncBackend(jobs=2)))
+        one = run_fleet(SPEC, SerialBackend(), shard=(1, 2))
+        two = run_fleet(SPEC, PoolBackend(jobs=2), shard=(2, 2))
         assert not one.complete and not two.complete
         assert one.devices_done + two.devices_done == SPEC.devices
         one.merge(two)
@@ -165,12 +159,8 @@ class TestFleetExecution:
         assert _fleet_json(one) == _fleet_json(serial_result)
 
     def test_merge_order_does_not_matter(self, serial_result):
-        a1, a2 = run_fleet(SPEC, ShardedBackend(1, 2)), run_fleet(
-            SPEC, ShardedBackend(2, 2)
-        )
-        b1, b2 = run_fleet(SPEC, ShardedBackend(1, 2)), run_fleet(
-            SPEC, ShardedBackend(2, 2)
-        )
+        a1, a2 = run_fleet(SPEC, shard=(1, 2)), run_fleet(SPEC, shard=(2, 2))
+        b1, b2 = run_fleet(SPEC, shard=(1, 2)), run_fleet(SPEC, shard=(2, 2))
         a1.merge(a2)
         b2.merge(b1)
         assert _fleet_json(a1) == _fleet_json(b2)
@@ -240,9 +230,8 @@ class TestStreamingVsMaterialized:
 
     @pytest.mark.parametrize(
         "make_backend_under_test",
-        [SerialBackend, lambda: ProcessPoolBackend(jobs=2),
-         lambda: AsyncBackend(jobs=2)],
-        ids=["serial", "process", "async"],
+        [SerialBackend, lambda: PoolBackend(jobs=2)],
+        ids=["serial", "pool"],
     )
     def test_reducer_matches_materialized(
         self, materialized, make_backend_under_test
@@ -254,7 +243,7 @@ class TestStreamingVsMaterialized:
 
     def test_sharded_reducers_merge_to_materialized(self, materialized):
         parts = [
-            SweepRunner(ShardedBackend(k, 2)).run_reduced(
+            SweepRunner(shard=(k, 2)).run_reduced(
                 _sweep_spec(), _SketchingReducer()
             )
             for k in (1, 2)
@@ -302,8 +291,8 @@ class _LeakCheckReducer(Reducer):
 
 @pytest.mark.parametrize(
     "make_backend_under_test",
-    [SerialBackend, lambda: AsyncBackend(jobs=2)],
-    ids=["serial", "async"],
+    [SerialBackend, lambda: PoolBackend(jobs=2)],
+    ids=["serial", "pool"],
 )
 def test_no_retention_path_holds_no_results(make_backend_under_test):
     spec = FleetSpec(

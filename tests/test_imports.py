@@ -34,7 +34,7 @@ NOT_AT_CLI_IMPORT = (
     "repro.analysis",
     "repro.core.fleet",
     "repro.core.sweep",
-    "repro.core.backends.async_",
+    "repro.core.backends.pool",
     *SIMULATOR,
 )
 

@@ -14,11 +14,10 @@ import pytest
 
 from repro.calibration import Calibration
 from repro.core import (
-    ProcessPoolBackend,
+    PoolBackend,
     ResultCache,
     RunConfig,
     SerialBackend,
-    ShardedBackend,
     SuiteRunner,
     SweepAxis,
     SweepPoint,
@@ -26,6 +25,7 @@ from repro.core import (
     SweepRunner,
     SweepSpec,
     parse_axis,
+    shard_ids,
     variant_label,
 )
 from repro.core.backends import BackendError
@@ -213,9 +213,9 @@ class TestExpansion:
         spec = SweepSpec(benches=BENCHES,
                          axes=(SweepAxis("seed", (1, 2, 3)),), base=FAST)
         points = spec.expand()
-        first = ShardedBackend(1, 2).plan_batch(points)
-        second = ShardedBackend(2, 2).plan_batch(points)
-        assert first + second != []
+        first = shard_ids(points, 1, 2)
+        second = shard_ids(points, 2, 2)
+        assert first and second
         assert sorted(p.label for p in first + second) == sorted(
             p.label for p in points
         )
@@ -235,7 +235,7 @@ class TestSweepExecution:
 
     def test_interleaved_process_pool_matches_serial(self):
         serial = SweepRunner(backend=SerialBackend()).run(self.SPEC)
-        pooled = SweepRunner(backend=ProcessPoolBackend(jobs=3)).run(self.SPEC)
+        pooled = SweepRunner(backend=PoolBackend(jobs=3)).run(self.SPEC)
         assert _sweep_json(serial) == _sweep_json(pooled)
 
     def test_grid_runs_as_one_flat_batch(self):
@@ -298,10 +298,9 @@ class TestSweepExecution:
         class LossyBackend(SerialBackend):
             name = "lossy"
 
-            def execute_batch(self, items, on_result=None):
+            def execute_stream(self, items, on_result):
                 # Drop the last item silently, never reporting it.
-                kept = list(items)[:-1]
-                return super().execute_batch(kept, on_result)
+                super().execute_stream(list(items)[:-1], on_result)
 
         spec = SweepSpec(benches=("countdown.main",),
                          axes=(SweepAxis("seed", (1, 2)),), base=FAST)
@@ -341,7 +340,7 @@ class TestSweepResultRoundTrip:
                          axes=(SweepAxis("seed", (1, 2)),), base=FAST)
         full = SweepRunner().run(spec)
         shards = [
-            SweepRunner(backend=ShardedBackend(k, 2)).run(spec)
+            SweepRunner(shard=(k, 2)).run(spec)
             for k in (1, 2)
         ]
         # Each shard holds a strict slice: its delta table has no
@@ -362,8 +361,8 @@ class TestSweepResultRoundTrip:
             base=FAST,
         )
         full = SweepRunner().run(spec)
-        merged = SweepRunner(backend=ShardedBackend(1, 2)).run(spec)
-        merged.merge(SweepRunner(backend=ShardedBackend(2, 2)).run(spec))
+        merged = SweepRunner(shard=(1, 2)).run(spec)
+        merged.merge(SweepRunner(shard=(2, 2)).run(spec))
         assert merged.benches() == list(spec.benches)
         assert json.dumps(merged.to_json_dict()) == json.dumps(
             full.to_json_dict()
