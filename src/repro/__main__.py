@@ -126,12 +126,6 @@ def _add_exec_flags(
                              "as a second cache tier: local miss -> remote "
                              "GET with local write-through, fresh runs "
                              "published back with PUT")
-    parser.add_argument("--cache-revalidate", action="store_true",
-                        help="with --cache-url (an error without it): "
-                             "confirm each local cache hit against the "
-                             "service once per run via conditional GET "
-                             "(If-None-Match on the entry's ETag; a 304 "
-                             "costs no body transfer)")
     parser.add_argument("--progress", action="store_true",
                         help="print a line as each benchmark completes")
 
@@ -144,16 +138,12 @@ def _make_cache(args: argparse.Namespace):
     local directory at all, lookups go straight to the service).
     """
     url = getattr(args, "cache_url", None)
-    revalidate = getattr(args, "cache_revalidate", False)
-    if revalidate and not url:
-        raise ConfigError("--cache-revalidate needs --cache-url")
     local = ResultCache(args.cache) if args.cache else None
     if not url:
         return local
     from repro.service import CacheClient, RemoteCacheBackend
 
-    return RemoteCacheBackend(CacheClient(url), local=local,
-                              revalidate=revalidate)
+    return RemoteCacheBackend(CacheClient(url), local=local)
 
 
 def _shard(args: argparse.Namespace) -> "tuple[int, int] | None":
@@ -410,13 +400,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.dir,
         host=args.host,
         port=args.port,
-        hot_bytes=args.hot_bytes,
-        max_age=args.max_age,
         verbose=args.verbose,
     )
     host, port = server.server_address[:2]
-    print(f"result service: serving {args.dir} on http://{host}:{port}/ "
-          f"(hot tier {args.hot_bytes:,} bytes, max-age {args.max_age}s)",
+    print(f"result service: serving {args.dir} on http://{host}:{port}/",
           flush=True)
     try:
         server.serve_forever()
@@ -653,26 +640,18 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve a result-cache directory over HTTP (in-memory LRU "
-             "hot tier, conditional GET, write-through PUT publishing)",
+        help="serve a result-cache directory over HTTP (GET entries by "
+             "key, PUT to publish checked runs)",
     )
     p_serve.add_argument("dir", metavar="DIR",
-                         help="backing store directory (the same layout "
-                              "--cache uses; created if missing)")
+                         help="store directory: a --cache directory "
+                              "(or a copy of one) serves its entries "
+                              "as they are; created if missing")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default 127.0.0.1; use "
                               "0.0.0.0 to serve worker hosts)")
     p_serve.add_argument("--port", type=int, default=8750,
                          help="bind port (default 8750; 0 picks a free one)")
-    p_serve.add_argument("--hot-bytes", type=int, default=64 * 1024 * 1024,
-                         metavar="N",
-                         help="in-memory hot-tier byte budget; LRU entries "
-                              "evict to the backing store beyond it")
-    p_serve.add_argument("--max-age", type=int, default=86400,
-                         metavar="SECONDS",
-                         help="Cache-Control max-age sent with entries "
-                              "(content-addressed, so long lifetimes are "
-                              "safe)")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every request")
     p_serve.set_defaults(func=cmd_serve)

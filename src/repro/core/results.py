@@ -50,18 +50,22 @@ def _decode_cpus(d: dict[str, int]) -> dict[int, int]:
     return {int(cpu_id): v for cpu_id, v in d.items()}
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Replace *path* with *text*, all or nothing.
+def write_atomic(path: str, data: "str | bytes") -> None:
+    """Replace *path* with *data* (text is UTF-8 encoded), all or nothing.
 
     Writes ``<path>.tmp.<pid>`` and renames it over *path*, so an
     exception, Ctrl-C or a full disk mid-write leaves the previous file
     intact; the tmp file is unlinked before the error propagates (its
     pid is this live process, so no stale-tmp sweep would reap it).
+    Threads of one process share that tmp name: concurrent writers of
+    one *path* in one process must serialise.
     """
+    binary = isinstance(data, bytes)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -352,6 +356,25 @@ class RunResult:
         )
 
 
+def decode_entry(body: bytes) -> RunResult:
+    """The run one stored entry's bytes hold.
+
+    Raises :class:`ValueError`, naming why, for bytes no reader could
+    use.  Every reader of entry bytes (:meth:`ResultCache.get`, the
+    result-service client) and the service's check on published bodies
+    apply this one test, so the service never stores an entry that a
+    reader would discard.
+    """
+    try:
+        raw = json.loads(body.decode("utf-8"))
+    except ValueError:
+        raise ValueError("not valid JSON") from None
+    try:
+        return RunResult.from_json_dict(raw)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise ValueError("not a RunResult payload") from None
+
+
 @dataclass
 class SuiteResult:
     """Results for a set of benchmarks, keyed by bench id."""
@@ -471,8 +494,32 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    @staticmethod
+    def is_key(text: str) -> bool:
+        """Whether *text* is an entry key (64 lowercase hex digits)."""
+        return _KEY.fullmatch(text) is not None
+
+    def _entry_path(self, key: str) -> str:
+        return os.path.join(self.root, key + ".json")
+
     def _path(self, bench_id: str, cfg: "RunConfig") -> str:
-        return os.path.join(self.root, self.key(bench_id, cfg) + ".json")
+        return self._entry_path(self.key(bench_id, cfg))
+
+    # ------------------------------------------------------------------
+    # Raw entry bytes, for stores that move entries without decoding
+    # them (the result service)
+
+    def read_entry(self, key: str) -> "bytes | None":
+        """The stored bytes of one entry, or ``None`` if there is none."""
+        try:
+            with open(self._entry_path(key), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    def write_entry(self, key: str, body: bytes) -> None:
+        """Store one entry's bytes atomically (:func:`write_atomic`)."""
+        write_atomic(self._entry_path(key), body)
 
     # ------------------------------------------------------------------
 
@@ -483,21 +530,16 @@ class ResultCache:
         deleted — not left in place to shadow the key forever — and
         counted as a miss, so the subsequent :meth:`put` heals the cache.
         """
-        path = self._path(bench_id, cfg)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
+        key = self.key(bench_id, cfg)
+        body = self.read_entry(key)
+        if body is None:
             self.misses += 1
             return None
-        except json.JSONDecodeError:
-            self._discard_corrupt(path, "not valid JSON")
-            self.misses += 1
-            return None
+        path = self._entry_path(key)
         try:
-            result = RunResult.from_json_dict(raw)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self._discard_corrupt(path, "not a RunResult payload")
+            result = decode_entry(body)
+        except ValueError as exc:
+            self._discard_corrupt(path, str(exc))
             self.misses += 1
             return None
         self.hits += 1
@@ -735,12 +777,15 @@ class ResultCache:
         )
 
 
-#: A stored run entry this cache owns: a 64-hex-digit key plus ``.json``.
-_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+#: An entry key: the sha256 hex digest :meth:`ResultCache.key` returns.
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+#: A stored run entry this cache owns: a key plus ``.json``.
+_ENTRY_NAME = re.compile(_KEY.pattern + r"\.json")
 
 #: In-flight write droppings this cache may own: a hex entry key or the
 #: stats file, then ``.json.tmp.<pid>``.
-_TMP_NAME = re.compile(r"(?:[0-9a-f]{64}|_stats)\.json\.tmp\.(\d+)")
+_TMP_NAME = re.compile(rf"(?:{_KEY.pattern}|_stats)\.json\.tmp\.(\d+)")
 
 
 def _pid_alive(pid: int) -> bool:

@@ -3,18 +3,15 @@
 The local :class:`~repro.core.results.ResultCache` is a directory; this
 package makes it a shared result plane for multi-host fleets.  The
 server side (:mod:`repro.service.server`) is a stdlib-only daemon
-serving entries by content hash through an in-memory LRU hot tier; the
-client side (:mod:`repro.service.client`) is a two-tier cache —
-optional local directory front, remote service behind — that plugs into
+serving that directory's entries by content hash; the client side
+(:mod:`repro.service.client`) is a two-tier cache — optional local
+directory front, remote service behind — that plugs into
 :func:`~repro.core.runner.execute_with_cache` unchanged, so every
 existing backend becomes fleet-ready without touching execution code.
 """
 
 from repro.service.client import CacheClient, RemoteCacheBackend
 from repro.service.server import (
-    DEFAULT_HOT_BYTES,
-    DEFAULT_MAX_AGE,
-    HotTier,
     ResultServer,
     ResultService,
     ResultServiceHandler,
@@ -23,9 +20,6 @@ from repro.service.server import (
 
 __all__ = [
     "CacheClient",
-    "DEFAULT_HOT_BYTES",
-    "DEFAULT_MAX_AGE",
-    "HotTier",
     "RemoteCacheBackend",
     "ResultServer",
     "ResultService",

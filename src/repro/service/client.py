@@ -1,28 +1,17 @@
 """Client side of the result service: HTTP access plus the two-tier cache.
 
 :class:`CacheClient` is a thin stdlib-``urllib`` wrapper over the wire
-protocol (conditional GET, publish PUT, stats).  :class:`RemoteCacheBackend`
-stacks it behind an optional local
-:class:`~repro.core.results.ResultCache` and duck-types the cache
-contract :func:`~repro.core.runner.execute_with_cache` consumes
-(``get``/``put``/``flush_stats``), so ``--cache-url`` drops into the
-suite/sweep/fleet runners without touching orchestration code:
+protocol (GET, publish PUT, stats).  :class:`RemoteCacheBackend` stacks
+it behind an optional local :class:`~repro.core.results.ResultCache` and
+duck-types the cache contract :func:`~repro.core.runner.execute_with_cache`
+consumes (``get``/``put``/``flush_stats``), so ``--cache-url`` drops
+into the suite/sweep/fleet runners without touching orchestration code:
 
-- lookup: local hit short-circuits (content-addressed keys cannot go
-  stale, so local entries never *need* revalidation); a local miss tries
+- lookup: a local hit is final (an entry's content-addressed key fixes
+  its body, so the service cannot hold a newer one); a local miss tries
   the remote ``GET`` and writes a hit through to the local tier;
 - compute: fresh results go to the local tier and are published to the
   service with ``PUT``, so every other worker's next miss becomes a hit.
-
-With ``revalidate=True`` a local hit is additionally checked against the
-service once per key per session — but conditionally: the entry's
-canonical body bytes are the same bytes the service stores (both sides
-serialise with ``json.dumps`` defaults), so its ETag is derivable
-locally as the server's quoted sha256 and rides as ``If-None-Match``.
-A ``304`` confirms the write-through for free (no body transfer,
-counted in ``CacheClient.revalidated``); a ``200`` means the server
-holds a different body, which is adopted and written through; a ``404``
-means the server lost the entry, which is healed with a re-publish.
 
 An unreachable service degrades, never fails: one warning, then the
 remote tier is skipped for the rest of the process and the run proceeds
@@ -32,15 +21,14 @@ on local cache + simulation alone.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
-import os
+import threading
 import warnings
 from typing import TYPE_CHECKING
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
-from repro.core.results import ResultCache, RunResult
+from repro.core.results import ResultCache, RunResult, decode_entry
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
@@ -48,12 +36,6 @@ if TYPE_CHECKING:
 
 #: Per-request timeout: a hung service must degrade like a down one.
 DEFAULT_TIMEOUT = 10.0
-
-#: Environment handshake deduplicating the unreachable-service warning
-#: across a process pool: the first process to find a URL down exports
-#: it here, and every worker spawned afterwards inherits the environment
-#: (fork or spawn alike) and skips its own copy of the warning.
-ENV_WARNED = "REPRO_CACHE_DOWN_WARNED"
 
 
 class CacheClient:
@@ -67,38 +49,23 @@ class CacheClient:
             )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: Conditional GETs answered 304: revalidations served without
-        #: a body transfer.
-        self.revalidated = 0
 
     def _url(self, key: str) -> str:
         return f"{self.base_url}/result/{key}"
 
-    def get_entry(
-        self, key: str, etag: "str | None" = None
-    ) -> "tuple[int, bytes | None, str | None]":
-        """``(status, body, etag)`` for one entry.
+    def get_entry(self, key: str) -> "tuple[int, bytes | None]":
+        """``(status, body)`` for one entry.
 
-        *etag* rides as ``If-None-Match``; 304 and 404 come back as
-        statuses with ``body=None`` rather than exceptions — they are
-        protocol outcomes, not failures.
+        A 404 comes back as a status with ``body=None`` rather than an
+        exception — a miss is a protocol outcome, not a failure.
         """
-        request = Request(self._url(key))
-        if etag is not None:
-            request.add_header("If-None-Match", etag)
         try:
-            with urlopen(request, timeout=self.timeout) as response:
-                return (
-                    response.status,
-                    response.read(),
-                    response.headers.get("ETag"),
-                )
+            with urlopen(self._url(key), timeout=self.timeout) as response:
+                return response.status, response.read()
         except HTTPError as exc:
             with contextlib.closing(exc):
-                if exc.code in (304, 404):
-                    if exc.code == 304:
-                        self.revalidated += 1
-                    return exc.code, None, exc.headers.get("ETag")
+                if exc.code == 404:
+                    return 404, None
                 raise
 
     def put_entry(self, key: str, body: bytes) -> None:
@@ -130,17 +97,15 @@ class RemoteCacheBackend:
         self,
         client: CacheClient,
         local: "ResultCache | None" = None,
-        revalidate: bool = False,
     ) -> None:
         self.client = client
         self.local = local
-        self.revalidate = revalidate
         self.remote_hits = 0
         self.remote_misses = 0
         self._down = False
-        #: Keys whose local entry was confirmed against (or reconciled
-        #: with) the service this session; each is revalidated once.
-        self._validated: set[str] = set()
+        #: Lookups (calling thread) and publishes (a pool's completion
+        #: thread) can find the service down at the same time.
+        self._down_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # The cache contract execute_with_cache consumes
@@ -149,16 +114,14 @@ class RemoteCacheBackend:
         if self.local is not None:
             hit = self.local.get(bench_id, cfg)
             if hit is not None:
-                if self.revalidate:
-                    return self._revalidated(bench_id, cfg, hit)
                 return hit
         body = self._remote_get(ResultCache.key(bench_id, cfg))
         if body is None:
             self.remote_misses += 1
             return None
         try:
-            result = RunResult.from_json_dict(json.loads(body.decode("utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError):
+            result = decode_entry(body)
+        except ValueError:
             # A corrupt remote payload is a miss, exactly like a corrupt
             # local entry — recompute and heal it with the PUT.
             self.remote_misses += 1
@@ -179,54 +142,6 @@ class RemoteCacheBackend:
         body = json.dumps(result.to_json_dict()).encode("utf-8")
         self._remote_put(ResultCache.key(bench_id, cfg), body)
 
-    def _revalidated(
-        self, bench_id: str, cfg: "RunConfig", hit: RunResult
-    ) -> RunResult:
-        """Check one local hit against the service, conditionally.
-
-        The ETag is computed from the local entry's canonical bytes —
-        the server's ETag scheme is the quoted sha256 of the stored
-        body, and publish/write-through keep both sides' bytes equal —
-        so a matching entry costs a 304, not a body transfer.  Any
-        outcome (including a down service) still serves a result; each
-        key is revalidated at most once per session.
-        """
-        key = ResultCache.key(bench_id, cfg)
-        if self._down or key in self._validated:
-            return hit
-        body = json.dumps(hit.to_json_dict()).encode("utf-8")
-        etag = '"' + hashlib.sha256(body).hexdigest() + '"'
-        try:
-            status, remote_body, _etag = self.client.get_entry(key, etag=etag)
-        except OSError as exc:
-            self._mark_down(exc)
-            return hit
-        self._validated.add(key)
-        if status == 404:
-            # The service lost (or never had) the entry: heal it.
-            self._remote_put(key, body)
-            return hit
-        if status == 200 and remote_body is not None:
-            # The server holds a different body.  Adopt it: the service
-            # is the shared source of truth, and the next reader of the
-            # local tier should agree with it.
-            try:
-                result = RunResult.from_json_dict(
-                    json.loads(remote_body.decode("utf-8"))
-                )
-            except (ValueError, KeyError, TypeError, AttributeError):
-                warnings.warn(
-                    f"ignoring corrupt remote entry while revalidating "
-                    f"{bench_id}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return hit
-            if self.local is not None:
-                self.local.put(bench_id, cfg, result)
-            return result
-        return hit
-
     def flush_stats(self) -> None:
         if self.local is not None:
             self.local.flush_stats()
@@ -237,7 +152,7 @@ class RemoteCacheBackend:
         if self._down:
             return None
         try:
-            status, body, _etag = self.client.get_entry(key)
+            status, body = self.client.get_entry(key)
         except OSError as exc:
             self._mark_down(exc)
             return None
@@ -255,17 +170,13 @@ class RemoteCacheBackend:
         """Warn once, then stop trying: computing locally is always a
         correct fallback, and one warning per run beats one per unit.
 
-        "Once" means once per *run*, not once per process: ``--jobs N``
-        spawns N pool workers that each rebuild this backend, and N
-        copies of the same warning bury the signal.  The first process
-        to find the URL down exports it via :data:`ENV_WARNED`; workers
-        spawned after that inherit the flag and go quiet (they still
-        mark the tier down for themselves).
+        Only the parent process builds this backend (pool workers just
+        simulate), so once per backend is once per run.
         """
-        self._down = True
-        if os.environ.get(ENV_WARNED) == self.client.base_url:
-            return
-        os.environ[ENV_WARNED] = self.client.base_url
+        with self._down_lock:
+            if self._down:
+                return
+            self._down = True
         warnings.warn(
             f"result service at {self.client.base_url} is unreachable "
             f"({exc}); continuing without the remote tier",

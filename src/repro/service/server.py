@@ -1,204 +1,86 @@
-"""The result service daemon: cache entries over HTTP, memory-fronted.
+"""The result service daemon: a cache directory over HTTP.
 
 A long-lived, stdlib-only HTTP server over one
-:class:`~repro.core.results.ResultCache` directory, modeled on the
-memcache-fronted tiered-lookup shape (memory tier first, backing store
-behind, cache-control headers on the way out):
+:class:`~repro.core.results.ResultCache` directory, which owns the entry
+layout (file names, atomic writes, the sweep of dead writers' tmp
+files), so the service can front an existing ``--cache`` directory and
+a copy of its store is a local cache:
 
-- ``GET /result/<key>`` serves one content-addressed entry, with a
-  strong ``ETag`` and ``Cache-Control: max-age`` headers; a matching
-  ``If-None-Match`` gets ``304 Not Modified`` with no body.
-- ``PUT /result/<key>`` publishes a completed run: the body is
-  validated as JSON, written atomically to the backing store
-  (write-through), and installed in the hot tier.  Concurrent writers
+- ``GET /result/<key>`` serves one content-addressed entry's bytes.
+- ``PUT /result/<key>`` publishes a completed run: the body must decode
+  as a :class:`~repro.core.results.RunResult` (the check every reader
+  applies), and is written atomically to the store.  Concurrent writers
   of one key serialise — last writer wins, a reader never sees a torn
   entry.
-- ``GET /stats`` reports hit/miss/eviction counters as JSON.
+- ``GET /stats`` reports hit/miss/publish counters as JSON.
 
-Every ``GET`` goes through a :class:`HotTier` — an in-memory LRU map
-bounded by a byte budget — so repeated-key traffic (the common shape:
-many workers sweeping the same grid) is served without touching disk.
-Keys are content hashes of ``(bench, config, version)``, so entries are
-immutable: a stale read is impossible, only a miss.
+Keys are content hashes of ``(bench, config, version)``, so an entry's
+key fixes its body: a stale read is impossible, only a miss.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import json
-import os
-import re
 import threading
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-#: Default hot-tier byte budget (comfortably thousands of run entries).
-DEFAULT_HOT_BYTES = 64 * 1024 * 1024
-
-#: Default ``Cache-Control: max-age`` — entries are content-addressed
-#: and therefore immutable, so a long client-side lifetime is safe.
-DEFAULT_MAX_AGE = 86400
-
-#: An entry key: the 64-hex-digit content hash ResultCache uses.
-_KEY = re.compile(r"[0-9a-f]{64}")
+from repro.core.results import ResultCache, decode_entry
 
 _RESULT_PREFIX = "/result/"
 
 
-class HotTier:
-    """In-memory LRU front over the backing store, bounded by bytes.
-
-    A plain ordered map from entry key to ``(body, etag)``: lookups
-    promote to most-recently-used, inserts evict from the LRU end until
-    the byte budget holds.  A body larger than the whole budget is never
-    admitted (it would evict everything and still not fit).  Not
-    thread-safe on its own — :class:`ResultService` owns the lock.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        if max_bytes < 0:
-            raise ValueError(f"hot-tier budget must be >= 0, got {max_bytes}")
-        self.max_bytes = max_bytes
-        self.current_bytes = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[str, tuple[bytes, str]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def keys(self) -> "list[str]":
-        """Resident keys, LRU-first (the eviction order)."""
-        return list(self._entries)
-
-    def get(self, key: str) -> "tuple[bytes, str] | None":
-        """The resident ``(body, etag)`` for *key*, promoted to MRU."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: str, body: bytes, etag: str) -> None:
-        """Install (or refresh) one entry, evicting LRU-first to fit."""
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= len(old[0])
-        if len(body) > self.max_bytes:
-            return
-        self._entries[key] = (body, etag)
-        self.current_bytes += len(body)
-        while self.current_bytes > self.max_bytes:
-            _, (evicted, _) = self._entries.popitem(last=False)
-            self.current_bytes -= len(evicted)
-            self.evictions += 1
-
-
 class ResultService:
-    """The tiered lookup itself: hot tier over a cache directory.
+    """Counted entry reads and checked entry writes over one store.
 
     Pure mechanism, no HTTP: :meth:`fetch` and :meth:`publish` are what
-    the request handler (and in-process tests) call.  The backing store
-    is laid out exactly like a :class:`~repro.core.results.ResultCache`
-    directory — ``<key>.json`` files — so a service can be pointed at an
-    existing cache and vice versa.
+    the request handler (and in-process tests) call.
     """
 
-    def __init__(
-        self,
-        root: str,
-        hot_bytes: int = DEFAULT_HOT_BYTES,
-        max_age: int = DEFAULT_MAX_AGE,
-    ) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.max_age = max_age
-        self.hot = HotTier(hot_bytes)
-        self.hot_hits = 0
+    def __init__(self, root: str) -> None:
+        self.store = ResultCache(root)
         self.store_hits = 0
         self.misses = 0
         self.puts = 0
-        #: Guards the hot tier and every counter.
+        #: Guards the counters.
         self._lock = threading.Lock()
-        #: Serialises backing-store writes: concurrent PUTs of one key
-        #: would otherwise share a tmp filename and tear each other.
+        #: Serialises store writes: every server thread shares one pid,
+        #: so concurrent PUTs of one key would share a tmp filename.
         self._store_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def etag_of(body: bytes) -> str:
-        """The strong ETag of one entry body (quoted content hash)."""
-        return '"' + hashlib.sha256(body).hexdigest() + '"'
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".json")
-
-    def fetch(self, key: str) -> "tuple[bytes, str] | None":
-        """``(body, etag)`` for one entry, or ``None`` on a miss.
-
-        Hot-tier first; a store read installs the entry in the hot tier
-        on the way out, so the next request for it stays in memory.
-        """
+    def fetch(self, key: str) -> "bytes | None":
+        """One entry's bytes, or ``None`` on a miss."""
+        body = self.store.read_entry(key)
         with self._lock:
-            entry = self.hot.get(key)
-            if entry is not None:
-                self.hot_hits += 1
-                return entry
-        try:
-            with open(self._path(key), "rb") as fh:
-                body = fh.read()
-        except OSError:
-            with self._lock:
+            if body is None:
                 self.misses += 1
-            return None
-        etag = self.etag_of(body)
-        with self._lock:
-            self.store_hits += 1
-            self.hot.put(key, body, etag)
-        return body, etag
+            else:
+                self.store_hits += 1
+        return body
 
     def publish(self, key: str, body: bytes) -> None:
-        """Store one entry: validate, write through atomically, warm.
+        """Store one entry, last writer wins.
 
-        Raises :class:`ValueError` on a body that is not JSON — the
-        store must never hold an entry a reader would discard as
-        corrupt.  The write is tmp-then-rename under the store lock
-        (last writer wins); the tmp is unlinked if the write fails.
+        Raises :class:`ValueError` on a body that is not a RunResult
+        entry: the store must never hold an entry a reader would
+        discard as corrupt.
         """
-        json.loads(body.decode("utf-8"))
-        path = self._path(key)
-        etag = self.etag_of(body)
+        decode_entry(body)
         with self._store_lock:
-            tmp = path + f".tmp.{os.getpid()}"
-            try:
-                with open(tmp, "wb") as fh:
-                    fh.write(body)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-            os.replace(tmp, path)
+            self.store.write_entry(key, body)
         with self._lock:
             self.puts += 1
-            self.hot.put(key, body, etag)
 
     def stats_payload(self) -> dict:
         """The ``/stats`` JSON body (one consistent snapshot)."""
         with self._lock:
             return {
-                "hot_hits": self.hot_hits,
+                # Readers sum hot_hits + store_hits; there is no memory
+                # tier any more, so every hit is a store hit.
+                "hot_hits": 0,
                 "store_hits": self.store_hits,
                 "misses": self.misses,
                 "puts": self.puts,
-                "evictions": self.hot.evictions,
-                "hot_entries": len(self.hot),
-                "hot_bytes": self.hot.current_bytes,
-                "hot_budget": self.hot.max_bytes,
-                "max_age": self.max_age,
             }
 
 
@@ -229,20 +111,13 @@ class ResultServiceHandler(BaseHTTPRequestHandler):
         if key is None:
             self._send_json(404, {"error": f"unknown path {path!r}"})
             return
-        found = self.service.fetch(key)
-        if found is None:
+        body = self.service.fetch(key)
+        if body is None:
             self._send_json(404, {"error": f"no entry for {key}"})
-            return
-        body, etag = found
-        if self._etag_matches(etag):
-            self.send_response(304)
-            self._send_cache_headers(etag)
-            self.end_headers()
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self._send_cache_headers(etag)
         self.end_headers()
         self.wfile.write(body)
 
@@ -255,11 +130,21 @@ class ResultServiceHandler(BaseHTTPRequestHandler):
         if length is None:
             self._send_json(411, {"error": "Content-Length required"})
             return
-        body = self.rfile.read(int(length))
+        try:
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            self._send_json(400, {"error": f"bad Content-Length {length!r}"})
+            return
+        body = self.rfile.read(size)
         try:
             self.service.publish(key, body)
-        except ValueError:
-            self._send_json(400, {"error": "body is not valid JSON"})
+        except ValueError as exc:
+            self._send_json(400, {"error": f"body is {exc}"})
             return
         self.send_response(204)
         self.end_headers()
@@ -270,29 +155,13 @@ class ResultServiceHandler(BaseHTTPRequestHandler):
     def _result_key(path: str) -> "str | None":
         """The entry key named by *path*, or ``None`` if it names none.
 
-        Only exact 64-hex keys resolve: anything else 404s rather than
-        letting a crafted path escape the store directory.
+        Only exact keys resolve: anything else 404s rather than letting
+        a crafted path escape the store directory.
         """
         if not path.startswith(_RESULT_PREFIX):
             return None
         key = path[len(_RESULT_PREFIX):]
-        return key if _KEY.fullmatch(key) else None
-
-    def _etag_matches(self, etag: str) -> bool:
-        header = self.headers.get("If-None-Match")
-        if header is None:
-            return False
-        for candidate in header.split(","):
-            candidate = candidate.strip()
-            if candidate.startswith("W/"):
-                candidate = candidate[2:]
-            if candidate in ("*", etag):
-                return True
-        return False
-
-    def _send_cache_headers(self, etag: str) -> None:
-        self.send_header("ETag", etag)
-        self.send_header("Cache-Control", f"max-age={self.service.max_age}")
+        return key if ResultCache.is_key(key) else None
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -323,15 +192,11 @@ def make_server(
     root: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    hot_bytes: int = DEFAULT_HOT_BYTES,
-    max_age: int = DEFAULT_MAX_AGE,
     verbose: bool = False,
 ) -> ResultServer:
     """A ready-to-run server over *root* (``port=0`` picks a free port).
 
     The caller drives it: ``serve_forever()`` inline (the CLI daemon) or
-    on a thread (tests, the load-generator benchmark), then
-    ``shutdown()`` + ``server_close()``.
+    on a thread (tests), then ``shutdown()`` + ``server_close()``.
     """
-    service = ResultService(root, hot_bytes=hot_bytes, max_age=max_age)
-    return ResultServer((host, port), service, verbose=verbose)
+    return ResultServer((host, port), ResultService(root), verbose=verbose)

@@ -76,16 +76,20 @@ def test_parser_global_flags():
 
 @pytest.mark.parametrize("argv", [
     ["suite", "--cache-revalidate", "--bench", "countdown.main"],
-    ["sweep", "--cache", "{cache}", "--cache-revalidate",
-     "--bench", "countdown.main"],
-    ["fleet", "--devices", "1", "--cache-revalidate"],
+    ["sweep", "--cache", "{cache}", "--cache-url", "http://127.0.0.1:9",
+     "--cache-revalidate", "--bench", "countdown.main"],
+    ["fleet", "--devices", "1", "--cache-url", "http://127.0.0.1:9",
+     "--cache-revalidate"],
+    ["serve", "{cache}", "--hot-bytes", "0"],
+    ["serve", "{cache}", "--max-age", "60"],
 ])
-def test_cache_revalidate_without_cache_url_is_an_error(argv, tmp_path, capsys):
+def test_removed_service_flags_are_rejected(argv, tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = [arg.replace("{cache}", str(cache)) for arg in argv]
-    assert main(["--duration", "0.5", "--settle-ms", "200", *argv]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert "--cache-url" in captured.err
+    assert "unrecognized arguments" in captured.err
     assert captured.out == ""           # nothing ran
-    assert not cache.exists()           # and no cache directory was made
+    assert not cache.exists()           # and no directory was made

@@ -1,16 +1,21 @@
-"""The result service: hot tier, HTTP semantics, two-tier client.
+"""The result service: HTTP semantics, store hygiene, two-tier client.
 
-Covers the seams the networked cache tier adds: LRU eviction against
-the byte budget, conditional-GET/304 and Cache-Control headers,
-concurrent PUTs of one key (last writer wins, never a torn read), the
+Covers the seams the networked cache tier adds: PUT input checks
+(malformed ``Content-Length``, bodies no reader could use), concurrent
+PUTs of one key (last writer wins, never a torn read) and concurrent
+GETs (never a failed read), the sweep of dead writers' tmp files, the
 warn-once fallback when the service is unreachable, and the headline
-differential — suite/sweep output bytes are identical with and without
-``--cache-url``.
+differential — suite/sweep/fleet output bytes are identical with and
+without ``--cache-url``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import urllib.request
 import warnings
@@ -21,21 +26,33 @@ from repro.core import ResultCache, RunConfig, RunResult
 from repro.errors import ConfigError
 from repro.service import (
     CacheClient,
-    HotTier,
     RemoteCacheBackend,
     ResultService,
     make_server,
 )
 
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
 KEY_A = "a" * 64
 KEY_B = "b" * 64
-KEY_C = "c" * 64
-KEY_D = "d" * 64
+
+
+def make_run(tag: str = "x", pad: int = 0) -> RunResult:
+    return RunResult(
+        bench_id=tag,
+        benchmark_comm=tag,
+        duration_ticks=100,
+        seed=1,
+        instr_by_region={"region": 5},
+        meta={"pad": "x" * pad} if pad else {},
+    )
 
 
 def entry_body(tag: str, pad: int = 0) -> bytes:
-    """A valid JSON entry body of a controllable size."""
-    return json.dumps({"tag": tag, "pad": "x" * pad}).encode("utf-8")
+    """A valid RunResult entry body of a controllable size."""
+    return json.dumps(make_run(tag, pad).to_json_dict()).encode("utf-8")
 
 
 @pytest.fixture
@@ -57,66 +74,25 @@ def base_url(srv) -> str:
 
 
 # ----------------------------------------------------------------------
-# (a) Hot tier: LRU eviction under the byte budget
-
-
-class TestHotTier:
-    def test_lru_eviction_order_under_byte_budget(self):
-        tier = HotTier(max_bytes=100)
-        tier.put(KEY_A, b"x" * 40, "a")
-        tier.put(KEY_B, b"y" * 40, "b")
-        assert tier.keys() == [KEY_A, KEY_B]
-        # A third 40-byte entry busts the budget: A (least recent) goes.
-        tier.put(KEY_C, b"z" * 40, "c")
-        assert tier.keys() == [KEY_B, KEY_C]
-        assert tier.evictions == 1
-        assert tier.current_bytes == 80
-        # A hit promotes B, so the next eviction takes C instead.
-        assert tier.get(KEY_B) == (b"y" * 40, "b")
-        tier.put(KEY_D, b"w" * 40, "d")
-        assert tier.keys() == [KEY_B, KEY_D]
-        assert tier.evictions == 2
-
-    def test_refresh_replaces_without_double_counting(self):
-        tier = HotTier(max_bytes=100)
-        tier.put(KEY_A, b"x" * 60, "a1")
-        tier.put(KEY_A, b"y" * 30, "a2")
-        assert tier.current_bytes == 30
-        assert tier.get(KEY_A) == (b"y" * 30, "a2")
-        assert tier.evictions == 0
-
-    def test_oversized_body_never_admitted(self):
-        tier = HotTier(max_bytes=10)
-        tier.put(KEY_A, b"x" * 5, "a")
-        tier.put(KEY_B, b"y" * 11, "b")
-        # The oversized body is skipped; the resident entry survives.
-        assert tier.keys() == [KEY_A]
-        assert tier.get(KEY_B) is None
-        assert tier.current_bytes == 5
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            HotTier(max_bytes=-1)
-
-
-# ----------------------------------------------------------------------
-# (b) Service mechanics (no HTTP): tier promotion + stats
+# (a) Service mechanics (no HTTP): store checks and hygiene
 
 
 class TestResultService:
-    def test_store_read_promotes_to_hot_tier(self, tmp_path):
+    def test_store_read_serves_local_cache_entries(self, tmp_path):
+        """A directory a ``--cache`` run filled is a service store as is:
+        its entries are served byte for byte, and counted."""
+        cfg = RunConfig(duration_ticks=100, settle_ticks=0, seed=3)
+        local = ResultCache(str(tmp_path))
+        local.put("warm", cfg, make_run("warm"))
+        key = ResultCache.key("warm", cfg)
         svc = ResultService(str(tmp_path))
-        # An entry already on disk (e.g. written by a --cache run).
-        with open(svc._path(KEY_A), "wb") as fh:
-            fh.write(entry_body("warm"))
-        body, etag = svc.fetch(KEY_A)
-        assert body == entry_body("warm")
-        assert svc.store_hits == 1 and svc.hot_hits == 0
-        # Second fetch never touches disk.
-        assert svc.fetch(KEY_A) == (body, etag)
-        assert svc.hot_hits == 1
+        body = svc.fetch(key)
+        assert body == local.read_entry(key)
+        assert RunResult.from_json_dict(json.loads(body)) == make_run("warm")
         assert svc.fetch(KEY_B) is None
-        assert svc.misses == 1
+        assert svc.stats_payload() == {
+            "hot_hits": 0, "store_hits": 1, "misses": 1, "puts": 0,
+        }
 
     def test_publish_rejects_non_json(self, tmp_path):
         svc = ResultService(str(tmp_path))
@@ -124,25 +100,24 @@ class TestResultService:
             svc.publish(KEY_A, b"{torn")
         assert svc.fetch(KEY_A) is None
 
-    def test_eviction_falls_back_to_store(self, tmp_path):
-        body = entry_body("fits", pad=40)
-        svc = ResultService(str(tmp_path), hot_bytes=2 * len(body) + 1)
-        for key, tag in ((KEY_A, "a"), (KEY_B, "b"), (KEY_C, "c")):
-            svc.publish(key, entry_body(tag, pad=40))
-        assert svc.hot.evictions >= 1
-        assert KEY_A not in svc.hot
-        # The evicted entry is still served — from the backing store.
-        fetched, _ = svc.fetch(KEY_A)
-        assert fetched == entry_body("a", pad=40)
-        assert svc.store_hits == 1
+    def test_start_sweeps_dead_writers_tmp_files(self, tmp_path):
+        """A serve killed mid-PUT leaves its tmp file behind; the next
+        service over that store removes it (a live writer's stays)."""
+        dead = tmp_path / f"{KEY_A}.json.tmp.999999999"
+        dead.write_bytes(entry_body("half"))
+        alive = tmp_path / f"{KEY_B}.json.tmp.{os.getpid()}"
+        alive.write_bytes(entry_body("in-flight"))
+        ResultService(str(tmp_path))
+        assert not dead.exists()
+        assert alive.exists()
 
 
 # ----------------------------------------------------------------------
-# (c) HTTP semantics: conditional GET, headers, error paths
+# (b) HTTP semantics: bodies, error paths, concurrency
 
 
 class TestHttp:
-    def test_roundtrip_with_cache_headers(self, server):
+    def test_roundtrip_headers_and_body(self, server):
         client = CacheClient(base_url(server))
         client.put_entry(KEY_A, entry_body("one"))
         response = urllib.request.urlopen(
@@ -150,23 +125,7 @@ class TestHttp:
         )
         assert response.status == 200
         assert response.headers["Content-Type"] == "application/json"
-        assert response.headers["Cache-Control"] == "max-age=86400"
-        etag = response.headers["ETag"]
-        assert etag.startswith('"') and etag.endswith('"')
         assert response.read() == entry_body("one")
-
-    def test_conditional_get_304_semantics(self, server):
-        client = CacheClient(base_url(server))
-        client.put_entry(KEY_A, entry_body("one"))
-        status, body, etag = client.get_entry(KEY_A)
-        assert (status, body) == (200, entry_body("one"))
-        # Matching validator: 304, no body, ETag still present.
-        status, body, etag_back = client.get_entry(KEY_A, etag=etag)
-        assert (status, body, etag_back) == (304, None, etag)
-        # A stale validator (the entry changed) gets the new bytes.
-        client.put_entry(KEY_A, entry_body("two"))
-        status, body, _ = client.get_entry(KEY_A, etag=etag)
-        assert (status, body) == (200, entry_body("two"))
 
     def test_missing_and_malformed_paths_404(self, server):
         client = CacheClient(base_url(server))
@@ -176,12 +135,29 @@ class TestHttp:
                 urllib.request.urlopen(base_url(server) + path, timeout=5)
             assert err.value.code == 404
 
-    def test_put_invalid_json_400(self, server):
+    @pytest.mark.parametrize("body", [b"{torn", b"{}"],
+                             ids=["not-json", "not-a-run"])
+    def test_put_unusable_body_400(self, server, body):
         client = CacheClient(base_url(server))
         with pytest.raises(urllib.error.HTTPError) as err:
-            client.put_entry(KEY_A, b"{torn")
+            client.put_entry(KEY_A, body)
+        err.value.close()
         assert err.value.code == 400
         assert client.get_entry(KEY_A)[0] == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_put_malformed_content_length_400(self, server, length):
+        """Answered at once, on a raw socket (urllib would not send a
+        malformed length), rather than dropping the connection or
+        reading until the client gives up."""
+        request = (f"PUT /result/{KEY_A} HTTP/1.1\r\nHost: x\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("ascii")
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=2) as sock:
+            sock.sendall(request)
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert CacheClient(base_url(server)).get_entry(KEY_A)[0] == 404
 
     def test_stats_endpoint_counts(self, server):
         client = CacheClient(base_url(server))
@@ -190,9 +166,8 @@ class TestHttp:
         client.get_entry(KEY_B)
         stats = client.stats()
         assert stats["puts"] == 1
-        assert stats["hot_hits"] == 1
+        assert stats["store_hits"] == 1
         assert stats["misses"] == 1
-        assert stats["hot_entries"] == 1
 
     def test_concurrent_puts_last_writer_wins_never_torn(self, server):
         client_url = base_url(server)
@@ -215,28 +190,50 @@ class TestHttp:
         for thread in threads:
             thread.join(timeout=10)
         assert not errors
-        status, body, _ = CacheClient(client_url).get_entry(KEY_A)
+        status, body = CacheClient(client_url).get_entry(KEY_A)
         # Whatever the interleaving, the served entry is exactly one
         # writer's complete body — never a splice of two.
         assert status == 200
         assert body in bodies
-        # And the backing store holds the same intact bytes.
-        with open(server.service._path(KEY_A), "rb") as fh:
-            assert fh.read() in bodies
+        # And the store holds the same intact bytes.
+        assert server.service.store.read_entry(KEY_A) in bodies
+
+    def test_concurrent_gets_never_fail(self, server):
+        """Many clients re-reading a small working set at once (a fleet
+        replaying a warm grid) all get the stored bytes."""
+        url = base_url(server)
+        bodies = {f"{i:064x}": entry_body(str(i), pad=4096) for i in range(4)}
+        for key, body in bodies.items():
+            CacheClient(url).put_entry(key, body)
+        clients, rounds = 8, 10
+        barrier = threading.Barrier(clients)
+        failures: "list[object]" = []
+
+        def replay() -> None:
+            try:
+                barrier.wait(timeout=10)
+                client = CacheClient(url)
+                for _ in range(rounds):
+                    for key, body in bodies.items():
+                        if client.get_entry(key) != (200, body):
+                            failures.append(key)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                failures.append(exc)
+
+        threads = [threading.Thread(target=replay) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = CacheClient(url).stats()
+        assert stats["store_hits"] == clients * rounds * len(bodies)
+        assert stats["misses"] == 0
 
 
 # ----------------------------------------------------------------------
-# (d) The two-tier client backend
-
-
-def make_run(tag: str = "x") -> RunResult:
-    return RunResult(
-        bench_id=tag,
-        benchmark_comm=tag,
-        duration_ticks=100,
-        seed=1,
-        instr_by_region={"region": 5},
-    )
+# (c) The two-tier client backend
 
 
 class TestRemoteCacheBackend:
@@ -271,18 +268,16 @@ class TestRemoteCacheBackend:
     def test_corrupt_remote_entry_is_a_miss(self, server):
         client = CacheClient(base_url(server))
         key = ResultCache.key("x", self.CFG)
-        client.put_entry(key, b'{"valid json": "but not a RunResult"}')
+        # Written straight into the store: PUT would refuse it.
+        server.service.store.write_entry(
+            key, b'{"valid json": "but not a RunResult"}'
+        )
         backend = RemoteCacheBackend(client)
         with pytest.warns(RuntimeWarning, match="corrupt remote"):
             assert backend.get("x", self.CFG) is None
         assert backend.remote_misses == 1
 
-    def test_unreachable_service_warns_once_and_degrades(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.service.client import ENV_WARNED
-
-        monkeypatch.delenv(ENV_WARNED, raising=False)
+    def test_unreachable_service_warns_once_and_degrades(self, tmp_path):
         # A port nothing listens on: connection refused immediately.
         local = ResultCache(str(tmp_path))
         backend = RemoteCacheBackend(
@@ -301,39 +296,13 @@ class TestRemoteCacheBackend:
         assert len(unreachable) == 1
         assert local.get("x", self.CFG) == run
 
-    def test_unreachable_warning_deduped_across_workers(self, monkeypatch):
-        """``--jobs N`` rebuilds this backend once per pool worker; the
-        env-flag handshake means only the first process to find the URL
-        down warns, while later backends go quiet but still degrade.  A
-        *different* down URL is fresh news and warns again."""
-        from repro.service.client import ENV_WARNED
-
-        monkeypatch.delenv(ENV_WARNED, raising=False)
-
-        def probe(url):
-            backend = RemoteCacheBackend(CacheClient(url, timeout=0.5))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert backend.get("x", self.CFG) is None
-            assert backend._down
-            return [w for w in caught if "unreachable" in str(w.message)]
-
-        assert len(probe("http://127.0.0.1:9")) == 1
-        import os
-
-        assert os.environ[ENV_WARNED] == "http://127.0.0.1:9"
-        # A second worker hitting the same dead URL inherits the flag.
-        assert probe("http://127.0.0.1:9") == []
-        # A different dead URL still gets its one warning.
-        assert len(probe("http://127.0.0.1:19")) == 1
-
     def test_rejects_non_http_url(self):
         with pytest.raises(ConfigError):
             CacheClient("cachehost:8750")
 
 
 # ----------------------------------------------------------------------
-# (e) Differential: CLI outputs byte-identical with and without the tier
+# (d) Differential: CLI outputs byte-identical with and without the tier
 
 
 class TestCliDifferential:
@@ -382,8 +351,28 @@ class TestCliDifferential:
         assert blob == open(replayed, "rb").read()
 
 
+def test_fleet_with_unreachable_service_warns_once(tmp_path):
+    """A pool run against a dead service warns once (only the parent
+    process consults the cache), still succeeds, and writes the bytes a
+    run without ``--cache-url`` writes."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "repro", *TestCliDifferential.ARGS,
+            "fleet", "--devices", "8", "--jobs", "2"]
+    plain = subprocess.run(argv + ["--out", "plain.json"], env=env,
+                           cwd=tmp_path, capture_output=True, text=True)
+    assert plain.returncode == 0, plain.stderr
+    down = subprocess.run(
+        argv + ["--cache-url", "http://127.0.0.1:9", "--out", "down.json"],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert down.returncode == 0, down.stderr
+    assert down.stderr.count("unreachable") == 1, down.stderr
+    assert (tmp_path / "down.json").read_bytes() \
+        == (tmp_path / "plain.json").read_bytes()
+
+
 # ----------------------------------------------------------------------
-# (f) CLI surface
+# (e) CLI surface
 
 
 def test_serve_parser_defaults():
@@ -393,8 +382,6 @@ def test_serve_parser_defaults():
     assert args.dir == "storedir"
     assert args.host == "127.0.0.1"
     assert args.port == 8750
-    assert args.hot_bytes == 64 * 1024 * 1024
-    assert args.max_age == 86400
     assert args.func.__name__ == "cmd_serve"
 
 
